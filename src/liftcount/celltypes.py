@@ -228,12 +228,6 @@ class TypeTables:
     alive: tuple[int, ...]
     masks: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def is_alive(self, i: int) -> bool:
-        return i in self._alive_set
-
-    def __post_init__(self):
-        self._alive_set = frozenset(self.alive)
-
     def mask(self, i: int, j: int) -> int:
         if i > j:
             raise ValueError("tables are stored for i <= j")

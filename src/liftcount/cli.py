@@ -54,12 +54,6 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _allow_big_ints():
-    # CPython 3.11+ caps int -> str conversion length; counts can exceed it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
-
-
 def _format_exact(value) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -315,7 +309,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _allow_big_ints()
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.cmd](args)

@@ -6,15 +6,17 @@ many domain elements carry each live 1-type (the k-vector) and, for every
 unordered pair of elements, which 2-type class their cross atoms realize.
 Summing the per-class multinomials in closed form (the multinomial
 theorem) collapses classes that carry no tracked statistic, which is what
-keeps the whole computation polynomial in the domain size.
+keeps the whole computation polynomial in the domain size.  A plain
+universal sentence is the case with no tracked statistic at all.
 
 Everything is exact: counts are arbitrary-precision integers, weighted
 results are fractions, and no enumeration order can change the total.
+The explicit cell-by-cell enumerations that cross-check this evaluator
+live in :mod:`liftcount.reference`.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,7 @@ from typing import Iterator, Optional
 
 from . import weights as weights_mod
 from .celltypes import TypeTables
-from .formula import CardComparison, constraint_holds
+from .formula import CardAnd, CardComparison, CardNot, CardOr, constraint_preds
 from .transform import CountingProgram
 
 
@@ -72,119 +74,173 @@ class Counters:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation context: tracked statistics, constraint split, type merging
+# Cardinality constraints, compiled for interval evaluation
 # ---------------------------------------------------------------------------
 
-def _ordered_constraint_preds(c) -> list[str]:
-    from .formula import CardAnd, CardComparison, CardNot, CardOr
-    if isinstance(c, CardComparison):
-        return [pred for _c, pred in c.terms]
-    if isinstance(c, CardNot):
-        return _ordered_constraint_preds(c.body)
-    if isinstance(c, (CardAnd, CardOr)):
-        return _ordered_constraint_preds(c.left) + _ordered_constraint_preds(c.right)
-    raise TypeError(c)
+_NEGATE = {"=": "!=", "!=": "=", "<=": ">", ">": "<=", ">=": "<", "<": ">="}
 
 
-def _may_hold(c, intervals) -> tuple[bool, bool]:
-    """Three-valued constraint check over cardinality intervals: returns
-    (can be true, can be false) for some point of the box."""
-    from .formula import CardAnd, CardComparison, CardNot, CardOr
-    if isinstance(c, CardComparison):
-        lo = hi = 0
-        for coef, pred in c.terms:
-            a, b = intervals[pred]
-            lo += coef * (a if coef > 0 else b)
-            hi += coef * (b if coef > 0 else a)
-        if c.op == "=":
-            return (lo <= c.bound <= hi, not (lo == hi == c.bound))
-        if c.op == "<=":
-            return (lo <= c.bound, hi > c.bound)
-        if c.op == ">=":
-            return (hi >= c.bound, lo < c.bound)
-        if c.op == "<":
-            return (lo < c.bound, hi >= c.bound)
-        return (hi > c.bound, lo <= c.bound)
-    if isinstance(c, CardNot):
-        t, f = _may_hold(c.body, intervals)
-        return (f, t)
-    if isinstance(c, CardAnd):
-        lt, lf = _may_hold(c.left, intervals)
-        rt, rf = _may_hold(c.right, intervals)
-        return (lt and rt, lf or rf)
-    if isinstance(c, CardOr):
-        lt, lf = _may_hold(c.left, intervals)
-        rt, rf = _may_hold(c.right, intervals)
-        return (lt or rt, lf and rf)
-    raise TypeError(c)
+class _Constraints:
+    """A program's cardinality constraints, compiled once per context.
 
+    Every comparison becomes a linear leaf ``(terms, weights, op, bound)``:
+    its value is a constant read from the k-determined statistics plus,
+    per tracked dimension, a weight times that dimension's cross
+    contribution.  Negations are pushed into the leaf operators, so each
+    constraint is a tree of and/or nodes over leaves, and the three-valued
+    question "can it still hold somewhere in this box?" needs only its
+    can-be-true half: a leaf can hold when its value range meets the
+    bound, an and-node when both children can, an or-node when either
+    can.  On a point box (lo == hi) the answer is the exact truth value.
+    """
+
+    def __init__(self, constraints, dims: dict[str, int], ndim: int):
+        self.leaves: list[tuple] = []
+        roots = [self._compile(c, False, dims, ndim) for c in constraints]
+        # a constraint without tracked leaves is settled by the k-vector
+        # alone; only the others tell the cells of one k-vector apart
+        tracked = [any(any(self.leaves[i][1]) for i in self._leaf_ids(root))
+                   for root in roots]
+        self.cell_roots = tuple(r for r, t in zip(roots, tracked) if t)
+        self.cell_leaves = tuple(i for root in self.cell_roots
+                                 for i in self._leaf_ids(root))
+        self.settled = self._check(r for r, t in zip(roots, tracked) if not t)
+        self.admits = self._check(self.cell_roots)
+
+    def _compile(self, c, negate: bool, dims, ndim):
+        if isinstance(c, CardComparison):
+            wvec = [0] * ndim
+            for coef, pred in c.terms:
+                if pred in dims:
+                    wvec[dims[pred]] += coef
+            op = _NEGATE[c.op] if negate else c.op
+            self.leaves.append((c.terms, tuple(wvec), op, c.bound))
+            return len(self.leaves) - 1
+        if isinstance(c, CardNot):
+            return self._compile(c.body, not negate, dims, ndim)
+        if isinstance(c, (CardAnd, CardOr)):
+            return (isinstance(c, CardAnd) != negate,
+                    self._compile(c.left, negate, dims, ndim),
+                    self._compile(c.right, negate, dims, ndim))
+        raise TypeError(f"not a constraint node: {c!r}")
+
+    def _leaf_ids(self, node) -> list[int]:
+        if type(node) is int:
+            return [node]
+        return self._leaf_ids(node[1]) + self._leaf_ids(node[2])
+
+    def _check(self, roots):
+        """One function ``(lo, hi, s) -> bool`` for all of ``roots``,
+        generated from our own constraint tree."""
+        source = " and ".join(f"({self._source(root)})" for root in roots)
+        return eval(f"lambda lo, hi, s: {source or True}", {})  # noqa: S307
+
+    def _source(self, node) -> str:
+        """Can-be-true expression over the per-leaf ranges ``lo``/``hi``
+        of :meth:`box`, moved by the cross contribution vector ``s``."""
+        if type(node) is not int:
+            is_and, left, right = node
+            return (f"({self._source(left)}) {'and' if is_and else 'or'} "
+                    f"({self._source(right)})")
+        _t, wvec, op, bound = self.leaves[node]
+        dot = "".join(f" + {w} * s[{d}]" for d, w in enumerate(wvec) if w)
+        lo, hi = f"(lo[{node}]{dot})", f"(hi[{node}]{dot})"
+        return {"<=": f"{lo} <= {bound}", ">=": f"{hi} >= {bound}",
+                "<": f"{lo} < {bound}", ">": f"{hi} > {bound}",
+                "=": f"{lo} <= {bound} <= {hi}",
+                "!=": f"not ({lo} == {hi} == {bound})"}[op]
+
+    def consts(self, stats) -> tuple[int, ...]:
+        """Per-leaf value at zero cross contribution.  ``stats`` holds the
+        k-determined cardinalities: unary predicates and the diagonal part
+        of binary ones."""
+        return tuple(sum(coef * stats[pred] for coef, pred in terms)
+                     for terms, _w, _op, _b in self.leaves)
+
+    def box(self, consts, lo, hi) -> tuple[list[int], list[int]]:
+        """Per-leaf value ranges (lows, highs) when the cross contributions
+        range over the box [lo, hi]."""
+        lows, highs = [], []
+        for const, (_t, wvec, _op, _b) in zip(consts, self.leaves):
+            a = b = const
+            for w, x, y in zip(wvec, lo, hi):
+                if w > 0:
+                    a += w * x
+                    b += w * y
+                elif w < 0:
+                    a += w * y
+                    b += w * x
+            lows.append(a)
+            highs.append(b)
+        return lows, highs
+
+
+# ---------------------------------------------------------------------------
+# Evaluation context: tracked statistics, constraints, type merging
+# ---------------------------------------------------------------------------
 
 class _Context:
-    """Preprocessed view of (program, tables, weight) shared by every
-    evaluation strategy."""
+    """Preprocessed view of (program, tables, weight) for one domain size.
+    A ``program`` of None stands for the pure universal kernel the tables
+    were built from: no constraints, signs or divisors."""
 
-    def __init__(self, program: CountingProgram, tables: TypeTables, n: int,
-                 weight=None, group_preds=()):
+    def __init__(self, program: Optional[CountingProgram], tables: TypeTables,
+                 n: int, weight=None, group_preds=()):
         self.program = program
         self.tables = tables
         self.n = n
         self.order = tables.order
         self.weight = weight if weight is not None else weights_mod.Unweighted()
         self.group_preds = tuple(group_preds)
-        sig = program.signature
+        constraints = program.constraints if program is not None else ()
 
         referenced: list[str] = []
-        for c in program.constraints:
-            referenced.extend(_ordered_constraint_preds(c))
+        for c in constraints:
+            referenced.extend(constraint_preds(c))
         referenced.extend(self.weight.referenced_preds())
         referenced.extend(self.group_preds)
         referenced = list(dict.fromkeys(referenced))
 
-        self.tracked_binary = tuple(p for p in referenced if sig.arity(p) == 2)
+        binary = {atom.pred for atom in self.order.binary_atoms}
+        self.tracked_binary = tuple(p for p in referenced if p in binary)
         self.stat_unary = tuple(
             (p, self.order.unary_pos(p, False))
-            for p in referenced if sig.arity(p) == 1)
+            for p in referenced if p not in binary)
         # per tracked binary: diagonal slot plus its dimension index
         self.stat_binary = tuple(
             (p, self.order.unary_pos(p, True), dim)
             for dim, p in enumerate(self.tracked_binary))
+        self.stat_preds = (tuple(p for p, _pos in self.stat_unary)
+                           + self.tracked_binary)
         self.dim = len(self.tracked_binary)
+        self.constraints = _Constraints(
+            constraints, {p: d for p, _pos, d in self.stat_binary}, self.dim)
 
-        from .formula import constraint_preds
-        self.unary_constraints = tuple(
-            c for c in program.constraints
-            if all(sig.arity(p) == 1 for p in constraint_preds(c)))
-        self.mixed_constraints = tuple(
-            c for c in program.constraints if c not in self.unary_constraints)
+        if program is not None:
+            self.sign_positions = tuple(self.order.unary_pos(p, False)
+                                        for p in program.sign_preds)
+            self.divisor_info = tuple(
+                (self.order.unary_pos(p, False), factorial(m))
+                for p, m in program.divisors)
+        else:
+            self.sign_positions = self.divisor_info = ()
 
-        self.sign_positions = tuple(self.order.unary_pos(p, False)
-                                    for p in program.sign_preds)
-        self.divisor_info = tuple(
-            (self.order.unary_pos(p, False), factorial(m))
-            for p, m in program.divisors)
-
-        bpos = []
-        for p in self.tracked_binary:
-            bpos.append((self.order.binary_pos(p, False),
-                         self.order.binary_pos(p, True)))
-        self._binary_positions = tuple(bpos)
+        self._binary_positions = tuple(
+            (self.order.binary_pos(p, False), self.order.binary_pos(p, True))
+            for p in self.tracked_binary)
         # classes are a function of the satisfaction mask alone, and many
         # pairs share masks, so both caches key on values not pair indices
         self._class_cache: dict[int, tuple] = {}
         self._profile_cache: dict[int, tuple[int, ...]] = {}
         self._type_cache: dict[int, tuple] = {}
-        self._linear_mixed = None
         self._pow_cache: dict[tuple[int, int], dict] = {}
         self._decode_cache: dict[int, tuple[int, ...]] = {}
         # unweighted, ungrouped runs reduce a k-vector to an integer cell
-        # sum that depends only on the pair-spec multiset and the
-        # constraint constants; distinct k-vectors share those heavily
+        # sum that depends only on the pair-spec multiset and the leaf
+        # constants; distinct k-vectors share those heavily
         self._cellsum_cache: dict[tuple, int] = {}
-        self.scalar_cells = (
-            isinstance(self.weight, weights_mod.Unweighted)
-            and not self.group_preds
-            and all(isinstance(c, CardComparison)
-                    for c in self.mixed_constraints))
+        self.scalar_cells = (isinstance(self.weight, weights_mod.Unweighted)
+                             and not self.group_preds)
         # statistic vectors ride through the polynomial fold as one
         # radix-encoded integer; 2 per element pair bounds every dimension
         self.radix = max(n * (n - 1), 1) + 1
@@ -192,21 +248,17 @@ class _Context:
 
     # -- per-1-type scalar attributes -------------------------------------
 
-    def ubit(self, i: int, pos: int) -> int:
-        return self.order.unary_bit(i, pos)
-
-    def sign_bit(self, i: int) -> int:
-        return sum(self.ubit(i, pos) for pos in self.sign_positions) & 1
-
     def type_attrs(self, t: int) -> tuple:
-        """(sign bit, divisor exponents, unary stats, diagonal stats) of a
-        1-type, cached; per-k work is a few dot products over these."""
+        """(sign bit, divisor exponents, statistic bits in ``stat_preds``
+        order) of a 1-type, cached; per-k work is a few dot products over
+        these."""
         hit = self._type_cache.get(t)
         if hit is None:
-            hit = (self.sign_bit(t),
-                   tuple(self.ubit(t, pos) for pos, _f in self.divisor_info),
-                   tuple(self.ubit(t, pos) for _p, pos in self.stat_unary),
-                   tuple(self.ubit(t, pos) for _p, pos, _d in self.stat_binary))
+            bit = self.order.unary_bit
+            hit = (sum(bit(t, pos) for pos in self.sign_positions) & 1,
+                   tuple(bit(t, pos) for pos, _f in self.divisor_info),
+                   tuple(bit(t, pos) for _p, pos in self.stat_unary)
+                   + tuple(bit(t, pos) for _p, pos, _d in self.stat_binary))
             self._type_cache[t] = hit
         return hit
 
@@ -241,11 +293,6 @@ class _Context:
             self._pow_cache[key] = hit
         return hit
 
-    def pair_classes(self, i: int, j: int):
-        """Satisfying 2-types of the pair (i <= j), grouped by their
-        contribution profile: (profiles, counts, members)."""
-        return self.classes_for_mask(self.tables.mask(i, j))[:3]
-
     def classes_for_mask(self, mask: int):
         """(profiles, counts, members, poly, per-dim minima, per-dim
         maxima) for one satisfaction mask, cached."""
@@ -279,25 +326,17 @@ class _Context:
     def stats_from_k(self, types, counts) -> dict[str, int]:
         """Tracked cardinalities determined by the k-vector alone: unary
         predicates plus the diagonal part of tracked binary ones."""
-        nu = len(self.stat_unary)
-        nb = len(self.stat_binary)
-        acc = [0] * (nu + nb)
+        acc = [0] * len(self.stat_preds)
         for t, c in zip(types, counts):
-            _sign, _div, ustats, dstats = self.type_attrs(t)
-            for idx in range(nu):
-                acc[idx] += ustats[idx] * c
-            for idx in range(nb):
-                acc[nu + idx] += dstats[idx] * c
-        stats = {pred: acc[idx] for idx, (pred, _pos) in enumerate(self.stat_unary)}
-        for idx, (pred, _pos, _dim) in enumerate(self.stat_binary):
-            stats[pred] = acc[nu + idx]
-        return stats
+            for idx, bit in enumerate(self.type_attrs(t)[2]):
+                acc[idx] += bit * c
+        return dict(zip(self.stat_preds, acc))
 
     def sign_and_divisor(self, types, counts) -> tuple[int, int]:
         sign_exp = 0
         div_exps = [0] * len(self.divisor_info)
         for t, c in zip(types, counts):
-            sign, div, _u, _d = self.type_attrs(t)
+            sign, div, _stats = self.type_attrs(t)
             sign_exp += sign * c
             for idx, e in enumerate(div):
                 div_exps[idx] += e * c
@@ -312,61 +351,23 @@ class _Context:
             out[pred] += svec[dim]
         return out
 
-    def passes_unary(self, stats) -> bool:
-        return all(constraint_holds(c, stats) for c in self.unary_constraints)
-
-    def passes_mixed(self, stats) -> bool:
-        return all(constraint_holds(c, stats) for c in self.mixed_constraints)
-
-    def linear_mixed(self):
-        """Mixed constraints that are plain comparisons, precompiled to
-        (k-determined terms, per-dimension weights, op, bound); boolean
-        combinations fall back to the interval evaluator."""
-        if self._linear_mixed is not None:
-            return self._linear_mixed
-        from .formula import CardComparison
-        dims = {p: d for p, _pos, d in self.stat_binary}
-        linear = []
-        other = []
-        for c in self.mixed_constraints:
-            if not isinstance(c, CardComparison):
-                other.append(c)
-                continue
-            kterms = []
-            wvec = [0] * self.dim
-            for coef, pred in c.terms:
-                kterms.append((coef, pred))  # diagonal part comes via stats
-                if pred in dims:
-                    wvec[dims[pred]] += coef
-            linear.append((tuple(kterms), tuple(wvec), c.op, c.bound))
-        self._linear_mixed = (linear, other)
-        return self._linear_mixed
-
     # -- 1-type merging ----------------------------------------------------
 
     def merged_groups(self) -> list[tuple[int, ...]]:
         """Partition the live 1-types into interchangeability classes.
 
         Two types merge when they agree on every per-type attribute the sum
-        reads (sign bit, divisor bits, tracked unary/diagonal bits) and
-        their rows of pair-class structures against all live types are
-        identical; distributing elements within a class then collapses to a
-        multiplicity power, exactly.
+        reads (:meth:`type_attrs`) and their rows of satisfaction masks
+        against all live types are identical; distributing elements within
+        a class then collapses to a multiplicity power, exactly.
         """
         alive = self.tables.alive
-        divisor_pos = tuple(pos for pos, _f in self.divisor_info)
-        rows = {}
+        rows: dict[tuple, list[int]] = {}
         for a in alive:
-            scalars = (
-                self.sign_bit(a),
-                tuple(self.ubit(a, pos) for pos in divisor_pos),
-                tuple(self.ubit(a, pos) for _p, pos in self.stat_unary),
-                tuple(self.ubit(a, pos) for _p, pos, _d in self.stat_binary),
-            )
             # mask equality implies class equality, and comparing integer
             # rows is much cheaper than building every class partition
             row = tuple(self.tables.mask(min(a, t), max(a, t)) for t in alive)
-            rows.setdefault((scalars, row), []).append(a)
+            rows.setdefault((self.type_attrs(a), row), []).append(a)
         return [tuple(members) for _key, members in
                 sorted(rows.items(), key=lambda kv: kv[1][0])]
 
@@ -447,126 +448,6 @@ def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters):
             yield support, tuple(1 + e for e in extra)
 
 
-# ---------------------------------------------------------------------------
-# Streaming enumeration (spec surface): explicit composition cells
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairTerm:
-    """One pair of 1-types inside a cell: ``exponent`` element pairs
-    distributed over the 2-type classes by ``composition``."""
-
-    i: int
-    j: int
-    exponent: int
-    class_counts: tuple[int, ...]
-    class_profiles: tuple[tuple[int, ...], ...]
-    class_vtypes: tuple[tuple[int, ...], ...]
-    composition: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One enumerated statistics cell: a k-vector over live 1-types plus a
-    class composition for every pair of used types."""
-
-    types: tuple[int, ...]
-    counts: tuple[int, ...]
-    u: int
-    pairs: tuple[PairTerm, ...]
-    stats: dict[str, int]
-    sign: int
-    divisor: int
-
-    def k_dense(self) -> tuple[int, ...]:
-        dense = [0] * (1 << self.u)
-        for t, c in zip(self.types, self.counts):
-            dense[t] = c
-        return tuple(dense)
-
-
-def term_value(cell: Cell, n: int, tables: Optional[TypeTables] = None) -> int:
-    """Unsigned, unweighted value of one cell: the multinomial for the
-    k-vector times, per pair, the composition multinomial and the class
-    sizes raised to their share.  Collapsed pairs (one class) reduce to
-    n_ij ** exponent."""
-    out = multinomial(n, cell.counts)
-    for pt in cell.pairs:
-        out *= multinomial(pt.exponent, pt.composition)
-        for c, h in zip(pt.class_counts, pt.composition):
-            out *= c ** h
-    return out
-
-
-def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
-                 weight=None, group_preds=(), per_v: bool = False,
-                 counters: Optional[Counters] = None) -> Iterator[Cell]:
-    """Stream every statistics cell of the program that satisfies its
-    constraints.
-
-    Grouped mode (the default) enumerates compositions over 2-type
-    classes; ``per_v`` splits every satisfying 2-type into its own class,
-    which is exponentially redundant and exists to cross-check the
-    grouping.  Cells carry the statistics view, the sign, and the divisor,
-    so ``sum(sign * w(stats) * term_value(cell, n) / divisor)`` is the
-    program value.
-    """
-    ctx = _Context(program, tables, n, weight, group_preds)
-    counters = counters if counters is not None else Counters()
-    alive = tables.alive
-    u = ctx.order.u
-
-    def pair_ok(a, b):
-        return tables.mask(min(a, b), max(a, b)) != 0
-
-    def self_ok(a):
-        return tables.mask(a, a) != 0
-
-    for support, counts in _k_stream(alive, n, pair_ok, self_ok, counters):
-        counters.k_vectors += 1
-        types = tuple(alive[p] for p in support)
-        base_stats = ctx.stats_from_k(types, counts)
-        if not ctx.passes_unary(base_stats):
-            counters.pruned += 1
-            continue
-        sign, divisor = ctx.sign_and_divisor(types, counts)
-
-        pair_specs = []
-        for a in range(len(types)):
-            for b in range(a, len(types)):
-                e = pair_exponent(counts[a], counts[b], a == b)
-                if e == 0:
-                    continue
-                i, j = types[a], types[b]
-                profiles, cls_counts, members = ctx.pair_classes(i, j)
-                if per_v:
-                    flat = tuple(v for vs in members for v in vs)
-                    profiles = tuple(ctx.profile_of_v(v) for v in flat)
-                    cls_counts = (1,) * len(flat)
-                    members = tuple((v,) for v in flat)
-                pair_specs.append((i, j, e, cls_counts, profiles, members))
-
-        for combo in itertools.product(
-                *[compositions(e, len(cc)) for _i, _j, e, cc, _p, _m in pair_specs]):
-            svec = [0] * ctx.dim
-            pairs = []
-            for (i, j, e, cc, profiles, members), h in zip(pair_specs, combo):
-                for prof, share in zip(profiles, h):
-                    for d in range(ctx.dim):
-                        svec[d] += prof[d] * share
-                pairs.append(PairTerm(i, j, e, cc, profiles, members, h))
-            stats = ctx.add_cross(base_stats, svec)
-            if not ctx.passes_mixed(stats):
-                counters.pruned += 1
-                continue
-            counters.cells += 1
-            yield Cell(types, counts, u, tuple(pairs), stats, sign, divisor)
-
-
-# ---------------------------------------------------------------------------
-# Production evaluation: per-pair polynomial folding over merged types
-# ---------------------------------------------------------------------------
-
 def _group_stream(tables: TypeTables, groups, n: int, counters: Counters):
     def rep_pair_ok(ga, gb):
         return tables.mask(min(ga[0], gb[0]), max(ga[0], gb[0])) != 0
@@ -578,245 +459,104 @@ def _group_stream(tables: TypeTables, groups, n: int, counters: Counters):
     return _k_stream(groups, n, rep_pair_ok, rep_self_ok, counters)
 
 
-def _run_merged(ctx: _Context, n: int, groups, counters: Counters,
+# ---------------------------------------------------------------------------
+# Evaluation: per-pair polynomial folding over merged types
+# ---------------------------------------------------------------------------
+
+def _run_merged(ctx: _Context, groups, kvecs, counters: Counters,
                 collect: Optional[dict], progress=None):
-    total = Fraction(0)
-    for support, counts in _group_stream(ctx.tables, groups, n, counters):
-        total += _run_one_k(ctx, n, groups, support, counts, counters, collect)
+    """Sum of the contributions of the group compositions ``kvecs``: an
+    int while every term is integral, else a Fraction."""
+    total = 0
+    for support, counts in kvecs:
+        total += _run_one_k(ctx, groups, support, counts, counters, collect)
         if progress is not None and counters.k_vectors % 25000 == 0:
             progress(counters)
     return total
 
 
-def _eval_stream(ctx: _Context, program, tables, n, weight, per_v,
-                 counters, collect):
-    total = Fraction(0)
-    for cell in enumerate_kh(program, tables, n, weight,
-                             group_preds=ctx.group_preds, per_v=per_v,
-                             counters=counters):
-        w = ctx.weight.value(cell.stats, n)
-        term = Fraction(cell.sign * term_value(cell, n) * w.numerator,
-                        cell.divisor * w.denominator)
-        if collect is not None:
-            key = tuple(cell.stats[p] for p in ctx.group_preds)
-            collect[key] = collect.get(key, Fraction(0)) + term
-        else:
-            total += term
-    return total
-
-
-def _evaluate(program, tables, n, weight, method, threads, group_preds,
-              counters, progress=None):
-    ctx = _Context(program, tables, n, weight, group_preds)
-    counters = counters if counters is not None else Counters()
-    collect: Optional[dict] = {} if group_preds else None
-
-    if method == "auto":
-        plain = (not program.sign_preds and not program.divisors
-                 and not program.constraints and ctx.dim == 0
-                 and not ctx.stat_unary and collect is None)
-        if plain:
-            return Fraction(fomc_universal(tables, n, counters=counters)), counters, None
-        method = "dp"
-
-    if method in ("stream", "per-v"):
-        total = _eval_stream(ctx, program, tables, n, weight,
-                             method == "per-v", counters, collect)
-        return total, counters, collect
-
-    if method == "dp-flat":
-        groups = [(a,) for a in tables.alive]
-    elif method == "dp":
-        groups = ctx.merged_groups()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if threads > 1 and len(groups) > 1:
-        return _evaluate_parallel(program, tables, n, weight, method,
-                                  threads, group_preds, counters)
-    total = _run_merged(ctx, n, groups, counters, collect, progress)
-    return total, counters, collect
-
-
-def evaluate(program: CountingProgram, tables: TypeTables, n: int,
-             weight=None, method: str = "auto", threads: int = 1,
-             counters: Optional[Counters] = None, progress=None) -> Fraction:
-    """Exact value of a compiled program on a domain of size n.
-
-    For an unweighted program this is the model count of the source
-    sentence: the signed terms cancel so the result is a nonnegative
-    integer-valued Fraction.  Methods: ``auto`` (merged polynomial
-    folding, with a fast path for plain universal input), ``dp``,
-    ``dp-flat`` (no 1-type merging), ``stream`` and ``per-v`` (explicit
-    composition enumeration; exponentially slower, kept as cross-checks).
-    """
-    total, _counters, _collect = _evaluate(program, tables, n, weight,
-                                           method, threads, (), counters,
-                                           progress)
-    return total
-
-
-def evaluate_grouped(program: CountingProgram, tables: TypeTables, n: int,
-                     weight=None, group_preds=(), method: str = "dp",
-                     threads: int = 1,
-                     counters: Optional[Counters] = None) -> dict:
-    """Like :func:`evaluate`, but split the sum by the cardinality tuple of
-    ``group_preds``.  Values are the signed weighted partial sums; they
-    add up to the total program value."""
-    if method == "auto":
-        method = "dp"
-    _total, _counters, collect = _evaluate(program, tables, n, weight,
-                                           method, threads,
-                                           tuple(group_preds), counters)
-    return collect
-
-
-# ---------------------------------------------------------------------------
-# Parallel driver
-# ---------------------------------------------------------------------------
-
-def _chunk_worker(args):
-    program, tables, n, weight, method, group_preds, chunk = args
-    ctx = _Context(program, tables, n, weight, group_preds)
-    counters = Counters()
-    collect: Optional[dict] = {} if group_preds else None
-    groups = ctx.merged_groups() if method == "dp" else [(a,) for a in tables.alive]
-    total = Fraction(0)
-    for support, counts in chunk:
-        total += _run_one_k(ctx, n, groups, support, counts, counters, collect)
-    return total, collect, counters.as_dict()
-
-
-def _run_one_k(ctx, n, groups, support, counts, counters, collect):
+def _run_one_k(ctx, groups, support, counts, counters, collect):
     """Signed weighted contribution of one group composition."""
     counters.k_vectors += 1
-    types = tuple(groups[g][0] for g in support)
-    sizes = tuple(len(groups[g]) for g in support)
-    base_stats = ctx.stats_from_k(types, counts)
-    if not ctx.passes_unary(base_stats):
-        counters.pruned += 1
-        return Fraction(0)
-    sign, divisor = ctx.sign_and_divisor(types, counts)
-    base = multinomial(n, counts)
-    for c, m in zip(counts, sizes):
-        if m > 1:
-            base *= m ** c
-
+    n = ctx.n
     dim = ctx.dim
     tables = ctx.tables
+    types = tuple(groups[g][0] for g in support)
+    base_stats = ctx.stats_from_k(types, counts)
+    cons = ctx.constraints
+    consts = cons.consts(base_stats)
+    if not cons.settled(consts, consts, ()):
+        counters.pruned += 1
+        return 0
+
     pair_specs = []
     for a in range(len(types)):
         for b in range(a, len(types)):
             e = pair_exponent(counts[a], counts[b], a == b)
             if e == 0:
                 continue
-            i, j = min(types[a], types[b]), max(types[a], types[b])
-            mask = tables.mask(i, j)
+            mask = tables.mask(min(types[a], types[b]), max(types[a], types[b]))
             profiles, _counts, _members, _poly, mins, maxs = \
                 ctx.classes_for_mask(mask)
             if not profiles:
                 counters.pruned += 1
-                return Fraction(0)
+                return 0
             lo = mins if e == 1 else tuple(e * x for x in mins)
             hi = maxs if e == 1 else tuple(e * x for x in maxs)
             pair_specs.append((mask, e, lo, hi))
 
-    prune = bool(dim and ctx.mixed_constraints)
-    linear, other = ctx.linear_mixed() if prune else ((), ())
-    consts = tuple(sum(coef * base_stats[pred] for coef, pred in kterms)
-                   for kterms, _w, _op, _b in linear)
+    def span(specs):
+        return (tuple(sum(lo[d] for _m, _e, lo, _h in specs) for d in range(dim)),
+                tuple(sum(hi[d] for _m, _e, _l, hi in specs) for d in range(dim)))
 
-    def feasible(done_svec, rem_lo, rem_hi):
-        for const, (_k, wvec, op, bound) in zip(consts, linear):
-            lo = hi = const
-            for d, w in enumerate(wvec):
-                if w > 0:
-                    lo += w * (done_svec[d] + rem_lo[d])
-                    hi += w * (done_svec[d] + rem_hi[d])
-                elif w < 0:
-                    lo += w * (done_svec[d] + rem_hi[d])
-                    hi += w * (done_svec[d] + rem_lo[d])
-            if op == "=":
-                ok = lo <= bound <= hi
-            elif op == "<=":
-                ok = lo <= bound
-            elif op == ">=":
-                ok = hi >= bound
-            elif op == "<":
-                ok = lo < bound
-            else:
-                ok = hi > bound
-            if not ok:
-                return False
-        if other:
-            intervals = {pred: (value, value)
-                         for pred, value in base_stats.items()}
-            for pred, _pos, d in ctx.stat_binary:
-                point = base_stats[pred] + done_svec[d]
-                intervals[pred] = (point + rem_lo[d], point + rem_hi[d])
-            return all(_may_hold(c, intervals)[0] for c in other)
-        return True
-
-    if prune:
-        total_lo = tuple(sum(lo[d] for _p, _e, lo, _h in pair_specs)
-                         for d in range(dim))
-        total_hi = tuple(sum(hi[d] for _p, _e, _l, hi in pair_specs)
-                         for d in range(dim))
-        if not feasible((0,) * dim, total_lo, total_hi):
-            counters.pruned += 1
-            return Fraction(0)
-
-    decode = ctx.decode
     zeros = (0,) * dim
+    prune = bool(cons.cell_roots)
+    if prune and not cons.admits(*cons.box(consts, *span(pair_specs)), zeros):
+        counters.pruned += 1
+        return 0
+    decode = ctx.decode
 
-    def fold():
+    def cells():
+        """Passing (cross statistic vector, coefficient) pairs."""
         # small powers first so the filters bite while the poly is small
         pair_specs.sort(key=lambda spec: len(ctx.pair_power(spec[0], spec[1])))
         poly = {0: 1}
         for idx, (mask, e, _lo, _hi) in enumerate(pair_specs):
             poly = _poly_mul(poly, ctx.pair_power(mask, e))
             if prune and len(poly) > 24:
-                rem = pair_specs[idx + 1:]
-                rem_lo = tuple(sum(lo[d] for _p, _e, lo, _h in rem)
-                               for d in range(dim))
-                rem_hi = tuple(sum(hi[d] for _p, _e, _l, hi in rem)
-                               for d in range(dim))
+                lo, hi = cons.box(consts, *span(pair_specs[idx + 1:]))
                 poly = {enc: coef for enc, coef in poly.items()
-                        if feasible(decode(enc), rem_lo, rem_hi)}
-                if not poly:
-                    return None
-        return poly
+                        if cons.admits(lo, hi, decode(enc))}
+        for enc, coefficient in poly.items():
+            svec = decode(enc)
+            if not prune or cons.admits(consts, consts, svec):
+                counters.cells += 1
+                yield svec, coefficient
 
-    if ctx.scalar_cells and dim:
+    sign, divisor = ctx.sign_and_divisor(types, counts)
+    base = multinomial(n, counts)
+    for g, c in zip(support, counts):
+        if len(groups[g]) > 1:
+            base *= len(groups[g]) ** c
+
+    if ctx.scalar_cells:
         # unweighted totals only need the integer sum over passing cells
-        key = (tuple(sorted((mask, e) for mask, e, _l, _h in pair_specs)),
-               consts)
+        key = (tuple(sorted(spec[:2] for spec in pair_specs)),
+               tuple(consts[i] for i in cons.cell_leaves))
         cellsum = ctx._cellsum_cache.get(key)
         if cellsum is None:
-            poly = fold()
-            cellsum = 0
-            if poly is not None:
-                for enc, coefficient in poly.items():
-                    if feasible(decode(enc), zeros, zeros):
-                        cellsum += coefficient
-                        counters.cells += 1
-            ctx._cellsum_cache[key] = cellsum
+            cellsum = sum(coefficient for _svec, coefficient in cells())
+            if dim:
+                ctx._cellsum_cache[key] = cellsum
         if cellsum == 0:
             counters.pruned += 1
-            return Fraction(0)
-        return Fraction(sign * base * cellsum, divisor)
+            return 0
+        value = sign * base * cellsum
+        return value if divisor == 1 else Fraction(value, divisor)
 
-    poly = fold()
-    if poly is None:
-        counters.pruned += 1
-        return Fraction(0)
     total = Fraction(0)
-    for enc, coefficient in poly.items():
-        stats = ctx.add_cross(base_stats, decode(enc))
-        if not ctx.passes_mixed(stats):
-            counters.pruned += 1
-            continue
-        counters.cells += 1
+    for svec, coefficient in cells():
+        stats = ctx.add_cross(base_stats, svec)
         w = ctx.weight.value(stats, n)
         term = Fraction(sign * base * coefficient * w.numerator,
                         divisor * w.denominator)
@@ -828,73 +568,86 @@ def _run_one_k(ctx, n, groups, support, counts, counters, collect):
     return total
 
 
-def _evaluate_parallel(program, tables, n, weight, method, threads,
-                       group_preds, counters):
+def _evaluate(ctx: _Context, threads: int, counters: Optional[Counters],
+              progress=None):
+    """(total, per-group partial sums or None) of one context."""
+    counters = counters if counters is not None else Counters()
+    collect: Optional[dict] = {} if ctx.group_preds else None
+    groups = ctx.merged_groups()
+    kvecs = _group_stream(ctx.tables, groups, ctx.n, counters)
+    if threads > 1 and len(groups) > 1:
+        return _evaluate_parallel(ctx, groups, list(kvecs), threads,
+                                  counters, collect)
+    total = _run_merged(ctx, groups, kvecs, counters, collect, progress)
+    return total, collect
+
+
+def evaluate(program: CountingProgram, tables: TypeTables, n: int,
+             weight=None, threads: int = 1,
+             counters: Optional[Counters] = None, progress=None) -> Fraction:
+    """Exact value of a compiled program on a domain of size n.
+
+    For an unweighted program this is the model count of the source
+    sentence: the signed terms cancel so the result is a nonnegative
+    integer-valued Fraction.  The sum runs over merged 1-type groups with
+    per-pair polynomial folding; the explicit enumerations of
+    :mod:`liftcount.reference` compute the same value cell by cell.
+    """
+    total, _collect = _evaluate(_Context(program, tables, n, weight),
+                                threads, counters, progress)
+    return Fraction(total)
+
+
+def evaluate_grouped(program: CountingProgram, tables: TypeTables, n: int,
+                     weight=None, group_preds=(), threads: int = 1,
+                     counters: Optional[Counters] = None) -> dict:
+    """Like :func:`evaluate`, but split the sum by the cardinality tuple of
+    ``group_preds``.  Values are the signed weighted partial sums; they
+    add up to the total program value."""
+    _total, collect = _evaluate(
+        _Context(program, tables, n, weight, group_preds), threads, counters)
+    return collect
+
+
+def fomc_universal(tables: TypeTables, n: int,
+                   counters: Optional[Counters] = None) -> int:
+    """Model count of a pure universal sentence on a domain of size n,
+    from its tables alone: the multinomial sum over k-vectors with per-pair
+    n_ij powers, which is :func:`evaluate` with nothing tracked."""
+    total, _collect = _evaluate(_Context(None, tables, n), 1, counters)
+    return int(total)
+
+
+# ---------------------------------------------------------------------------
+# Parallel driver
+# ---------------------------------------------------------------------------
+
+def _chunk_worker(args):
+    program, tables, n, weight, group_preds, groups, chunk = args
     ctx = _Context(program, tables, n, weight, group_preds)
-    groups = ctx.merged_groups() if method == "dp" else [(a,) for a in tables.alive]
-    all_ks = list(_group_stream(tables, groups, n, counters))
-    chunks = [all_ks[i::threads] for i in range(threads)]
-    jobs = [(program, tables, n, weight, method, tuple(group_preds), chunk)
-            for chunk in chunks if chunk]
-    total = Fraction(0)
+    counters = Counters()
     collect: Optional[dict] = {} if group_preds else None
+    total = _run_merged(ctx, groups, chunk, counters, collect)
+    return total, collect, counters
+
+
+def _evaluate_parallel(ctx, groups, all_ks, threads, counters, collect):
+    chunks = [all_ks[i::threads] for i in range(threads)]
+    jobs = [(ctx.program, ctx.tables, ctx.n, ctx.weight, ctx.group_preds,
+             groups, chunk) for chunk in chunks if chunk]
+    total = 0
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part_total, part_collect, part_counters in pool.map(_chunk_worker, jobs):
+        for part_total, part_collect, part in pool.map(_chunk_worker, jobs):
             total += part_total
-            counters.k_vectors += part_counters["k_vectors"]
-            counters.pruned += part_counters["pruned"]
-            counters.cells += part_counters["cells"]
+            counters.k_vectors += part.k_vectors
+            counters.pruned += part.pruned
+            counters.cells += part.cells
             if collect is not None:
                 for key, val in part_collect.items():
                     collect[key] = collect.get(key, Fraction(0)) + val
-    return total, counters, collect
+    return total, collect
 
 
-# ---------------------------------------------------------------------------
-# Plain universal formulas
-# ---------------------------------------------------------------------------
-
-def fomc_universal(tables: TypeTables, n: int, merge: bool = True,
-                   counters: Optional[Counters] = None) -> int:
-    """Model count of a pure universal sentence on a domain of size n:
-    the multinomial sum over k-vectors with per-pair n_ij powers.
-
-    1-types with identical satisfaction rows are merged into one summation
-    unit with a multiplicity power (an exact regrouping), which keeps the
-    number of terms polynomial for fixed table structure.
-    """
-    counters = counters if counters is not None else Counters()
-    alive = tables.alive
-    if not alive:
-        return 0
-
-    def nij(a, b):
-        return tables.n_ij(min(a, b), max(a, b))
-
-    if merge:
-        rows: dict[tuple, list[int]] = {}
-        for a in alive:
-            rows.setdefault(tuple(nij(a, t) for t in alive), []).append(a)
-        groups = [members for _row, members in
-                  sorted(rows.items(), key=lambda kv: kv[1][0])]
-    else:
-        groups = [[a] for a in alive]
-    reps = [g[0] for g in groups]
-    sizes = [len(g) for g in groups]
-
-    total = 0
-    for ks in compositions(n, len(groups)):
-        counters.k_vectors += 1
-        term = multinomial(n, ks)
-        for a, ka in enumerate(ks):
-            if ka == 0 or term == 0:
-                continue
-            term *= sizes[a] ** ka
-            term *= nij(reps[a], reps[a]) ** (ka * (ka - 1) // 2)
-            for b in range(a):
-                if ks[b]:
-                    term *= nij(reps[a], reps[b]) ** (ka * ks[b])
-        if term == 0:
-            counters.pruned += 1
-        total += term
-    return total
+# the explicit enumerations live in reference.py; they stay reachable here
+from .reference import (Cell, PairTerm, enumerate_kh,  # noqa: E402,F401
+                        pair_classes, stream_value, term_value)

@@ -346,14 +346,17 @@ def constraint_holds(c: CardConstraint, cards) -> bool:
     raise TypeError(f"not a constraint node: {c!r}")
 
 
-def constraint_preds(c: CardConstraint) -> set[str]:
+def constraint_preds(c: CardConstraint) -> tuple[str, ...]:
+    """Predicates a constraint mentions, in order of first appearance."""
     if isinstance(c, CardComparison):
-        return {pred for _, pred in c.terms}
-    if isinstance(c, CardNot):
-        return constraint_preds(c.body)
-    if isinstance(c, (CardAnd, CardOr)):
-        return constraint_preds(c.left) | constraint_preds(c.right)
-    raise TypeError(f"not a constraint node: {c!r}")
+        preds = [pred for _, pred in c.terms]
+    elif isinstance(c, CardNot):
+        preds = constraint_preds(c.body)
+    elif isinstance(c, (CardAnd, CardOr)):
+        preds = constraint_preds(c.left) + constraint_preds(c.right)
+    else:
+        raise TypeError(f"not a constraint node: {c!r}")
+    return tuple(dict.fromkeys(preds))
 
 
 def format_constraint(c: CardConstraint) -> str:

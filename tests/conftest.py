@@ -1,14 +1,9 @@
 import random
-import sys
 
 import liftcount as lc
 from liftcount import celltypes, oracle, transform
 from liftcount.formula import (And, Atom, Bottom, Eq, GroundAtom, Iff,
                                Implies, Neq, Not, Or, Signature, Top)
-
-# large exact counts overflow the default int-to-str cap
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 RUNNING_EXAMPLE = """
 domain: 3
@@ -44,6 +39,8 @@ CORPUS = [
     ("friends-cardR", RUNNING_EXAMPLE + "constraint: |R| = 2\n", (1, 2, 3)),
     ("friends-bool", RUNNING_EXAMPLE
      + "constraint: (|A| = 2) | (|A| = 3)\nconstraint: |R| <= 5\n", (1, 2, 3)),
+    ("friends-bool-mixed", RUNNING_EXAMPLE
+     + "constraint: (|R| <= 1) | ~(|A| + |R| <= 9)\n", (1, 2, 3)),
     ("unary-card", "domain: 4\nunary: A\nformula: true\nconstraint: |A| = 2\n",
      (1, 2, 3, 4, 5)),
     ("coins", "domain: 4\nunary: H\nformula: true\n"

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 import liftcount as lc
-from liftcount import engine, oracle
+from liftcount import engine, oracle, reference
 from liftcount.formula import Forall, Problem
 from liftcount.weights import DistributionQuery, count_distribution
 
@@ -158,10 +158,10 @@ def test_criterion_09_collapse_equivalence():
     for name, text, ns in CORPUS:
         problem, program, tables = compiled(text)
         for n in ns:
-            grouped = lc.evaluate(program, tables, n, problem.weights,
-                                  method="stream")
-            per_v = lc.evaluate(program, tables, n, problem.weights,
-                                method="per-v")
+            grouped = reference.stream_value(program, tables, n,
+                                             problem.weights)
+            per_v = reference.stream_value(program, tables, n,
+                                           problem.weights, per_v=True)
             folded = lc.evaluate(program, tables, n, problem.weights)
             assert grouped == per_v == folded, (name, n)
             checked += 1

@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
 import liftcount as lc
-from liftcount import engine, oracle
+from liftcount import engine, oracle, reference, transform
 from liftcount.engine import (Counters, compositions, enumerate_kh, evaluate,
                               fomc_universal, multinomial, pair_exponent,
                               term_value)
@@ -55,9 +58,11 @@ def test_fomc_universal_merge_agrees_with_flat():
     for _ in range(20):
         kernel = random_kernel(rng)
         tables = lc.build_tables(kernel, KERNEL_SIG)
+        program = transform.CountingProgram(KERNEL_SIG, kernel, (), (), (),
+                                            KERNEL_SIG.unary + KERNEL_SIG.binary)
         for n in (1, 2, 3, 6):
-            assert fomc_universal(tables, n, merge=True) == \
-                fomc_universal(tables, n, merge=False)
+            assert fomc_universal(tables, n) == \
+                reference.stream_value(program, tables, n)
 
 
 def test_stream_length_unconstrained():
@@ -148,10 +153,11 @@ def test_integrality_of_signed_sums():
 def test_collapse_equivalence(name, text, ns):
     problem, program, tables = compiled(text)
     for n in ns:
-        reference = evaluate(program, tables, n, problem.weights, method="dp")
-        for method in ("dp-flat", "stream", "per-v"):
-            got = evaluate(program, tables, n, problem.weights, method=method)
-            assert got == reference, (name, n, method)
+        folded = evaluate(program, tables, n, problem.weights)
+        for per_v in (False, True):
+            got = reference.stream_value(program, tables, n, problem.weights,
+                                         per_v=per_v)
+            assert got == folded, (name, n, per_v)
 
 
 @pytest.mark.parametrize("name,text,ns", CORPUS)
@@ -205,6 +211,15 @@ def test_threads_do_not_change_results():
         "domain: 4\nbinary: R\nformula: forall x exists[=1] y R(x,y)\n")
     assert evaluate(program, tables, 4, threads=2) == \
         evaluate(program, tables, 4, threads=1) == 256
+    problem, program, tables = compiled(RUNNING_EXAMPLE)
+    assert evaluate(program, tables, 12, threads=2) == \
+        evaluate(program, tables, 12, threads=1) == fomc_universal(tables, 12)
+    problem, program, tables = compiled(
+        "domain: 3\nunary: S\nbinary: F\n"
+        "formula: forall x forall y (S(x) & F(x,y) -> S(y))\n"
+        "weight: S 2 1\nweight: F 3 2\n")
+    assert evaluate(program, tables, 4, problem.weights, threads=2) == \
+        evaluate(program, tables, 4, problem.weights, threads=1)
     problem, program, tables = compiled(RUNNING_EXAMPLE + "constraint: |R| = 2\n")
     grouped1 = engine.evaluate_grouped(program, tables, 3, None, ("A",))
     grouped2 = engine.evaluate_grouped(program, tables, 3, None, ("A",), threads=2)
@@ -230,3 +245,19 @@ def test_random_universal_kernels_vs_oracle():
         for n in (1, 2, 3):
             problem = Problem(KERNEL_SIG, sentence, n)
             assert fomc_universal(tables, n) == oracle.oracle_count(problem)
+
+
+def test_library_prints_big_counts_in_fresh_interpreter():
+    # importing liftcount alone must lift CPython's int -> str digit cap
+    script = (
+        "import liftcount as lc\n"
+        "problem = lc.parse_problem(" + repr(RUNNING_EXAMPLE) + ")\n"
+        "program = lc.compile_problem(problem)\n"
+        "tables = lc.build_tables(program.kernel, program.signature)\n"
+        "print(len(str(lc.evaluate(program, tables, 200))))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "12042"
