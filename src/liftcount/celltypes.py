@@ -91,10 +91,6 @@ class AtomOrder:
         return out
 
 
-def atom_order(sig: Signature) -> AtomOrder:
-    return AtomOrder.from_signature(sig)
-
-
 # ---------------------------------------------------------------------------
 # Reference evaluator (slow, readable): the compiled table builder is
 # cross-checked against this in the tests.

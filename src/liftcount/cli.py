@@ -97,11 +97,7 @@ def _closed_form(problem: Problem, n: int, weighted: bool, threads: int,
 def _query_from_args(problem: Problem, args) -> weights.DistributionQuery:
     if args.preds:
         return weights.DistributionQuery(tuple(p.strip() for p in args.preds.split(",")))
-    spec = problem.weights
-    if spec is not None and not isinstance(spec, weights.Unweighted) \
-            and spec.referenced_preds():
-        return weights.DistributionQuery(tuple(spec.referenced_preds()))
-    return weights.DistributionQuery(problem.signature.unary)
+    return weights.DistributionQuery.default(problem)
 
 
 def _dist_result(dist: dict) -> dict:
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--approx", action="store_true",
                        help="add a float approximation next to exact values")
         p.add_argument("--threads", type=int, default=1, metavar="N")
-        p.add_argument("--progress", action="store_true",
-                       help="emit enumeration progress to standard error")
         if oracle_opts:
             p.add_argument("--limit", type=int, default=oracle.DEFAULT_ATOM_LIMIT,
                            help="ground-atom cap for exhaustive enumeration")
@@ -266,15 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated query predicates; prefix "
                                 "! for the complement count")
 
-    p = sub.add_parser("count", help="unweighted model count")
-    common(p)
-    p.add_argument("--dump-tables", action="store_true")
-    p.add_argument("--dump-program", action="store_true")
-
-    p = sub.add_parser("weighted", help="weighted model count")
-    common(p)
-    p.add_argument("--dump-tables", action="store_true")
-    p.add_argument("--dump-program", action="store_true")
+    for cmd, text in (("count", "unweighted model count"),
+                      ("weighted", "weighted model count")):
+        p = sub.add_parser(cmd, help=text)
+        common(p)
+        p.add_argument("--progress", action="store_true",
+                       help="emit enumeration progress to standard error")
+        p.add_argument("--dump-tables", action="store_true")
+        p.add_argument("--dump-program", action="store_true")
 
     p = sub.add_parser("dist", help="count distribution")
     common(p, dist_opts=True)

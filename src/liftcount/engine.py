@@ -6,8 +6,9 @@ many domain elements carry each live 1-type (the k-vector) and, for every
 unordered pair of elements, which 2-type class their cross atoms realize.
 Summing the per-class multinomials in closed form (the multinomial
 theorem) collapses classes that carry no tracked statistic, which is what
-keeps the whole computation polynomial in the domain size.  A plain
-universal sentence is the case with no tracked statistic at all.
+keeps the whole computation polynomial in the domain size.  Literal
+weights, Skolem signs and count divisors weigh 1-types and 2-types; only
+constraints, table weights and distribution queries are tracked.
 
 Everything is exact: counts are arbitrary-precision integers, weighted
 results are fractions, and no enumeration order can change the total.
@@ -20,10 +21,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator, Optional
 
-from . import weights as weights_mod
 from .celltypes import TypeTables
 from .formula import CardAnd, CardComparison, CardNot, CardOr, constraint_preds
 from .transform import CountingProgram
@@ -182,7 +182,9 @@ class _Constraints:
 class _Context:
     """Preprocessed view of (program, tables, weight) for one domain size.
     A ``program`` of None stands for the pure universal kernel the tables
-    were built from: no constraints, signs or divisors."""
+    were built from: no constraints, signs or divisors.  A weight with
+    ``entries`` lists literal weights, as signs and divisors are; any other
+    weight is a function of tracked statistics, evaluated per cell."""
 
     def __init__(self, program: Optional[CountingProgram], tables: TypeTables,
                  n: int, weight=None, group_preds=()):
@@ -190,14 +192,38 @@ class _Context:
         self.tables = tables
         self.n = n
         self.order = tables.order
-        self.weight = weight if weight is not None else weights_mod.Unweighted()
+        literals = list(getattr(weight, "entries", ()))
+        self.weight = weight
+        self.cell_weight = None if hasattr(weight, "entries") else weight
         self.group_preds = tuple(group_preds)
-        constraints = program.constraints if program is not None else ()
+        constraints = ()
+        if program is not None:
+            constraints = program.constraints
+            literals += [(p, 1, -1, 1) for p in program.sign_preds]
+            literals += [(p, 1, Fraction(1, factorial(m)), 1)
+                         for p, m in program.divisors]
+
+        # integer literal weights over one denominator: w**c * wbar**(N - c)
+        # = (w d)**c * (wbar d)**(N - c) / d**N over the N = n**arity ground
+        # atoms; diagonal atoms sit on the 1-type, the others on 2-types
+        self.denominator = 1
+        self._type_literals, self._pair_literals = [], []
+        for pred, arity, w, wbar in literals:
+            w, wbar = Fraction(w), Fraction(wbar)
+            d = lcm(w.denominator, wbar.denominator)
+            self.denominator *= d ** (n ** arity)
+            ints = (int(w * d), int(wbar * d))
+            self._type_literals.append(
+                (self.order.unary_pos(pred, arity == 2),) + ints)
+            if arity == 2:
+                self._pair_literals += [(self.order.binary_pos(pred, swapped),)
+                                        + ints for swapped in (False, True)]
 
         referenced: list[str] = []
         for c in constraints:
             referenced.extend(constraint_preds(c))
-        referenced.extend(self.weight.referenced_preds())
+        if self.cell_weight is not None:
+            referenced.extend(self.cell_weight.referenced_preds())
         referenced.extend(self.group_preds)
         referenced = list(dict.fromkeys(referenced))
 
@@ -216,15 +242,6 @@ class _Context:
         self.constraints = _Constraints(
             constraints, {p: d for p, _pos, d in self.stat_binary}, self.dim)
 
-        if program is not None:
-            self.sign_positions = tuple(self.order.unary_pos(p, False)
-                                        for p in program.sign_preds)
-            self.divisor_info = tuple(
-                (self.order.unary_pos(p, False), factorial(m))
-                for p, m in program.divisors)
-        else:
-            self.sign_positions = self.divisor_info = ()
-
         self._binary_positions = tuple(
             (self.order.binary_pos(p, False), self.order.binary_pos(p, True))
             for p in self.tracked_binary)
@@ -235,12 +252,11 @@ class _Context:
         self._type_cache: dict[int, tuple] = {}
         self._pow_cache: dict[tuple[int, int], dict] = {}
         self._decode_cache: dict[int, tuple[int, ...]] = {}
-        # unweighted, ungrouped runs reduce a k-vector to an integer cell
-        # sum that depends only on the pair-spec multiset and the leaf
-        # constants; distinct k-vectors share those heavily
+        # runs without per-cell weights or grouping reduce a k-vector to an
+        # integer cell sum that depends only on the pair-spec multiset and
+        # the leaf constants; distinct k-vectors share those heavily
         self._cellsum_cache: dict[tuple, int] = {}
-        self.scalar_cells = (isinstance(self.weight, weights_mod.Unweighted)
-                             and not self.group_preds)
+        self.scalar_cells = self.cell_weight is None and not self.group_preds
         # statistic vectors ride through the polynomial fold as one
         # radix-encoded integer; 2 per element pair bounds every dimension
         self.radix = max(n * (n - 1), 1) + 1
@@ -249,14 +265,12 @@ class _Context:
     # -- per-1-type scalar attributes -------------------------------------
 
     def type_attrs(self, t: int) -> tuple:
-        """(sign bit, divisor exponents, statistic bits in ``stat_preds``
-        order) of a 1-type, cached; per-k work is a few dot products over
-        these."""
+        """(integer weight, statistic bits in ``stat_preds`` order) of a
+        1-type, cached; per-k work is a few dot products over these."""
         hit = self._type_cache.get(t)
         if hit is None:
             bit = self.order.unary_bit
-            hit = (sum(bit(t, pos) for pos in self.sign_positions) & 1,
-                   tuple(bit(t, pos) for pos, _f in self.divisor_info),
+            hit = (_literal_weight(self._type_literals, bit, t),
                    tuple(bit(t, pos) for _p, pos in self.stat_unary)
                    + tuple(bit(t, pos) for _p, pos, _d in self.stat_binary))
             self._type_cache[t] = hit
@@ -294,8 +308,9 @@ class _Context:
         return hit
 
     def classes_for_mask(self, mask: int):
-        """(profiles, counts, members, poly, per-dim minima, per-dim
-        maxima) for one satisfaction mask, cached."""
+        """(profiles, weights, members, poly, per-dim minima, per-dim
+        maxima) for one satisfaction mask, cached.  A profile's weight is
+        the sum of its 2-types' integer cross weights."""
         hit = self._class_cache.get(mask)
         if hit is not None:
             return hit
@@ -309,15 +324,17 @@ class _Context:
             v += 1
         items = sorted(grouped.items())
         profiles = tuple(p for p, _ in items)
-        counts = tuple(len(vs) for _, vs in items)
+        weights = tuple(sum(_literal_weight(self._pair_literals,
+                                            self.order.binary_bit, v)
+                            for v in vs) for _, vs in items)
         members = tuple(tuple(vs) for _, vs in items)
         if profiles:
             mins = tuple(min(p[d] for p in profiles) for d in range(self.dim))
             maxs = tuple(max(p[d] for p in profiles) for d in range(self.dim))
         else:
             mins = maxs = (0,) * self.dim
-        enc_poly = {self.encode(p): c for p, c in zip(profiles, counts)}
-        out = (profiles, counts, members, enc_poly, mins, maxs)
+        enc_poly = {self.encode(p): w for p, w in zip(profiles, weights)}
+        out = (profiles, weights, members, enc_poly, mins, maxs)
         self._class_cache[mask] = out
         return out
 
@@ -328,22 +345,9 @@ class _Context:
         predicates plus the diagonal part of tracked binary ones."""
         acc = [0] * len(self.stat_preds)
         for t, c in zip(types, counts):
-            for idx, bit in enumerate(self.type_attrs(t)[2]):
+            for idx, bit in enumerate(self.type_attrs(t)[1]):
                 acc[idx] += bit * c
         return dict(zip(self.stat_preds, acc))
-
-    def sign_and_divisor(self, types, counts) -> tuple[int, int]:
-        sign_exp = 0
-        div_exps = [0] * len(self.divisor_info)
-        for t, c in zip(types, counts):
-            sign, div, _stats = self.type_attrs(t)
-            sign_exp += sign * c
-            for idx, e in enumerate(div):
-                div_exps[idx] += e * c
-        divisor = 1
-        for (_pos, fact), e in zip(self.divisor_info, div_exps):
-            divisor *= fact ** e
-        return (-1 if sign_exp & 1 else 1), divisor
 
     def add_cross(self, stats: dict[str, int], svec) -> dict[str, int]:
         out = dict(stats)
@@ -356,10 +360,10 @@ class _Context:
     def merged_groups(self) -> list[tuple[int, ...]]:
         """Partition the live 1-types into interchangeability classes.
 
-        Two types merge when they agree on every per-type attribute the sum
-        reads (:meth:`type_attrs`) and their rows of satisfaction masks
-        against all live types are identical; distributing elements within
-        a class then collapses to a multiplicity power, exactly.
+        Two types merge when they agree on their statistic bits and their
+        rows of satisfaction masks against all live types are identical;
+        distributing c elements within a class then collapses to the c-th
+        power of the members' summed integer weights, exactly.
         """
         alive = self.tables.alive
         rows: dict[tuple, list[int]] = {}
@@ -367,9 +371,17 @@ class _Context:
             # mask equality implies class equality, and comparing integer
             # rows is much cheaper than building every class partition
             row = tuple(self.tables.mask(min(a, t), max(a, t)) for t in alive)
-            rows.setdefault((self.type_attrs(a), row), []).append(a)
+            rows.setdefault((self.type_attrs(a)[1], row), []).append(a)
         return [tuple(members) for _key, members in
                 sorted(rows.items(), key=lambda kv: kv[1][0])]
+
+
+def _literal_weight(literals, bit, x: int) -> int:
+    """Product over ``(pos, w, wbar)`` of w if bit ``pos`` of x, else wbar."""
+    out = 1
+    for pos, w, wbar in literals:
+        out *= w if bit(x, pos) else wbar
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +476,19 @@ def _group_stream(tables: TypeTables, groups, n: int, counters: Counters):
 # ---------------------------------------------------------------------------
 
 def _run_merged(ctx: _Context, groups, kvecs, counters: Counters,
-                collect: Optional[dict], progress=None):
-    """Sum of the contributions of the group compositions ``kvecs``: an
-    int while every term is integral, else a Fraction."""
-    total = 0
+                collect: dict, progress=None):
+    """Add the contributions of the group compositions ``kvecs`` to
+    ``collect``, keyed on the cardinality tuple of the group predicates."""
     for support, counts in kvecs:
-        total += _run_one_k(ctx, groups, support, counts, counters, collect)
+        _run_one_k(ctx, groups, support, counts, counters, collect)
         if progress is not None and counters.k_vectors % 25000 == 0:
             progress(counters)
-    return total
 
 
 def _run_one_k(ctx, groups, support, counts, counters, collect):
-    """Signed weighted contribution of one group composition."""
+    """Add the weighted contribution of one group composition, times the
+    context's denominator, to ``collect``: an int unless a per-cell weight
+    makes it a Fraction."""
     counters.k_vectors += 1
     n = ctx.n
     dim = ctx.dim
@@ -487,7 +499,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
     consts = cons.consts(base_stats)
     if not cons.settled(consts, consts, ()):
         counters.pruned += 1
-        return 0
+        return
 
     pair_specs = []
     for a in range(len(types)):
@@ -500,7 +512,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
                 ctx.classes_for_mask(mask)
             if not profiles:
                 counters.pruned += 1
-                return 0
+                return
             lo = mins if e == 1 else tuple(e * x for x in mins)
             hi = maxs if e == 1 else tuple(e * x for x in maxs)
             pair_specs.append((mask, e, lo, hi))
@@ -513,7 +525,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
     prune = bool(cons.cell_roots)
     if prune and not cons.admits(*cons.box(consts, *span(pair_specs)), zeros):
         counters.pruned += 1
-        return 0
+        return
     decode = ctx.decode
 
     def cells():
@@ -533,14 +545,12 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
                 counters.cells += 1
                 yield svec, coefficient
 
-    sign, divisor = ctx.sign_and_divisor(types, counts)
     base = multinomial(n, counts)
     for g, c in zip(support, counts):
-        if len(groups[g]) > 1:
-            base *= len(groups[g]) ** c
+        base *= sum(ctx.type_attrs(t)[0] for t in groups[g]) ** c
 
     if ctx.scalar_cells:
-        # unweighted totals only need the integer sum over passing cells
+        # without per-cell weights only the integer sum over cells counts
         key = (tuple(sorted(spec[:2] for spec in pair_specs)),
                tuple(consts[i] for i in cons.cell_leaves))
         cellsum = ctx._cellsum_cache.get(key)
@@ -550,36 +560,32 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
                 ctx._cellsum_cache[key] = cellsum
         if cellsum == 0:
             counters.pruned += 1
-            return 0
-        value = sign * base * cellsum
-        return value if divisor == 1 else Fraction(value, divisor)
+            return
+        collect[()] = collect.get((), 0) + base * cellsum
+        return
 
-    total = Fraction(0)
     for svec, coefficient in cells():
         stats = ctx.add_cross(base_stats, svec)
-        w = ctx.weight.value(stats, n)
-        term = Fraction(sign * base * coefficient * w.numerator,
-                        divisor * w.denominator)
-        if collect is not None:
-            key = tuple(stats[p] for p in ctx.group_preds)
-            collect[key] = collect.get(key, Fraction(0)) + term
-        else:
-            total += term
-    return total
+        term = base * coefficient
+        if ctx.cell_weight is not None:
+            term *= ctx.cell_weight.value(stats, n)
+        key = tuple(stats[p] for p in ctx.group_preds)
+        collect[key] = collect.get(key, 0) + term
 
 
 def _evaluate(ctx: _Context, threads: int, counters: Optional[Counters],
               progress=None):
-    """(total, per-group partial sums or None) of one context."""
+    """Partial sums of one context, keyed on the cardinality tuple of its
+    group predicates (the empty tuple when there are none)."""
     counters = counters if counters is not None else Counters()
-    collect: Optional[dict] = {} if ctx.group_preds else None
+    collect: dict = {}
     groups = ctx.merged_groups()
     kvecs = _group_stream(ctx.tables, groups, ctx.n, counters)
     if threads > 1 and len(groups) > 1:
-        return _evaluate_parallel(ctx, groups, list(kvecs), threads,
-                                  counters, collect)
-    total = _run_merged(ctx, groups, kvecs, counters, collect, progress)
-    return total, collect
+        _evaluate_parallel(ctx, groups, list(kvecs), threads, counters, collect)
+    else:
+        _run_merged(ctx, groups, kvecs, counters, collect, progress)
+    return {key: Fraction(val, ctx.denominator) for key, val in collect.items()}
 
 
 def evaluate(program: CountingProgram, tables: TypeTables, n: int,
@@ -593,9 +599,9 @@ def evaluate(program: CountingProgram, tables: TypeTables, n: int,
     per-pair polynomial folding; the explicit enumerations of
     :mod:`liftcount.reference` compute the same value cell by cell.
     """
-    total, _collect = _evaluate(_Context(program, tables, n, weight),
-                                threads, counters, progress)
-    return Fraction(total)
+    parts = _evaluate(_Context(program, tables, n, weight), threads,
+                      counters, progress)
+    return parts.get((), Fraction(0))
 
 
 def evaluate_grouped(program: CountingProgram, tables: TypeTables, n: int,
@@ -604,9 +610,8 @@ def evaluate_grouped(program: CountingProgram, tables: TypeTables, n: int,
     """Like :func:`evaluate`, but split the sum by the cardinality tuple of
     ``group_preds``.  Values are the signed weighted partial sums; they
     add up to the total program value."""
-    _total, collect = _evaluate(
-        _Context(program, tables, n, weight, group_preds), threads, counters)
-    return collect
+    return _evaluate(_Context(program, tables, n, weight, group_preds),
+                     threads, counters)
 
 
 def fomc_universal(tables: TypeTables, n: int,
@@ -614,8 +619,7 @@ def fomc_universal(tables: TypeTables, n: int,
     """Model count of a pure universal sentence on a domain of size n,
     from its tables alone: the multinomial sum over k-vectors with per-pair
     n_ij powers, which is :func:`evaluate` with nothing tracked."""
-    total, _collect = _evaluate(_Context(None, tables, n), 1, counters)
-    return int(total)
+    return int(_evaluate(_Context(None, tables, n), 1, counters).get((), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +629,22 @@ def fomc_universal(tables: TypeTables, n: int,
 def _chunk_worker(args):
     program, tables, n, weight, group_preds, groups, chunk = args
     ctx = _Context(program, tables, n, weight, group_preds)
-    counters = Counters()
-    collect: Optional[dict] = {} if group_preds else None
-    total = _run_merged(ctx, groups, chunk, counters, collect)
-    return total, collect, counters
+    counters, collect = Counters(), {}
+    _run_merged(ctx, groups, chunk, counters, collect)
+    return collect, counters
 
 
 def _evaluate_parallel(ctx, groups, all_ks, threads, counters, collect):
     chunks = [all_ks[i::threads] for i in range(threads)]
     jobs = [(ctx.program, ctx.tables, ctx.n, ctx.weight, ctx.group_preds,
              groups, chunk) for chunk in chunks if chunk]
-    total = 0
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part_total, part_collect, part in pool.map(_chunk_worker, jobs):
-            total += part_total
+        for part_collect, part in pool.map(_chunk_worker, jobs):
             counters.k_vectors += part.k_vectors
             counters.pruned += part.pruned
             counters.cells += part.cells
-            if collect is not None:
-                for key, val in part_collect.items():
-                    collect[key] = collect.get(key, Fraction(0)) + val
-    return total, collect
+            for key, val in part_collect.items():
+                collect[key] = collect.get(key, 0) + val
 
 
 # the explicit enumerations live in reference.py; they stay reachable here

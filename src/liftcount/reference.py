@@ -4,15 +4,18 @@
 statistic polynomial.  This module spells the same sum out cell by cell:
 every k-vector over the unmerged live 1-types, and for every pair of used
 types every composition of its element pairs over the 2-type classes (or,
-with ``per_v``, over the single 2-types).  It is exponentially slower and
-exists so the tests can compare the two exactly.
+with ``per_v``, over the single 2-types).  It tracks the weighted, sign
+and divisor predicates that the engine folds into type weights as
+statistics, and applies the paper's factors for them per cell.  It is
+exponentially slower and exists so the tests can compare the two exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterator, Optional
 
 from .celltypes import TypeTables
@@ -56,7 +59,7 @@ class Cell:
         return tuple(dense)
 
 
-def term_value(cell: Cell, n: int, tables: Optional[TypeTables] = None) -> int:
+def term_value(cell: Cell, n: int) -> int:
     """Unsigned, unweighted value of one cell: the multinomial for the
     k-vector times, per pair, the composition multinomial and the class
     sizes raised to their share.  Collapsed pairs (one class) reduce to
@@ -71,12 +74,13 @@ def term_value(cell: Cell, n: int, tables: Optional[TypeTables] = None) -> int:
 
 def pair_classes(ctx: _Context, i: int, j: int):
     """Satisfying 2-types of the pair (i <= j), grouped by their
-    contribution profile: (profiles, counts, members)."""
+    contribution profile: (profiles, counts, members).  The class weights
+    of a context without literal weights are the class sizes."""
     return ctx.classes_for_mask(ctx.tables.mask(i, j))[:3]
 
 
 def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
-                 weight=None, group_preds=(), per_v: bool = False,
+                 weight=None, per_v: bool = False,
                  counters: Optional[Counters] = None) -> Iterator[Cell]:
     """Stream every statistics cell of the program that satisfies its
     constraints.
@@ -88,7 +92,11 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
     so ``sum(sign * w(stats) * term_value(cell, n) / divisor)`` is the
     program value.
     """
-    ctx = _Context(program, tables, n, weight, group_preds)
+    # no literal weights reach the context; their predicates are tracked
+    tracked = (tuple(weight.referenced_preds()) if weight is not None else ()) \
+        + program.sign_preds + tuple(p for p, _m in program.divisors)
+    ctx = _Context(replace(program, sign_preds=(), divisors=()), tables, n,
+                   None, tracked)
     counters = counters if counters is not None else Counters()
     alive = tables.alive
     u = ctx.order.u
@@ -110,7 +118,8 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
         if not all(constraint_holds(c, base_stats) for c in unary_constraints):
             counters.pruned += 1
             continue
-        sign, divisor = ctx.sign_and_divisor(types, counts)
+        sign = (-1) ** sum(base_stats[p] for p in program.sign_preds)
+        divisor = prod(factorial(m) ** base_stats[p] for p, m in program.divisors)
 
         pair_specs = []
         for a in range(len(types)):
@@ -150,7 +159,6 @@ def stream_value(program: CountingProgram, tables: TypeTables, n: int,
     same number :func:`liftcount.engine.evaluate` computes."""
     total = Fraction(0)
     for cell in enumerate_kh(program, tables, n, weight, per_v=per_v):
-        w = weight.value(cell.stats, n) if weight is not None else Fraction(1)
-        total += Fraction(cell.sign * term_value(cell, n) * w.numerator,
-                          cell.divisor * w.denominator)
+        w = weight.value(cell.stats, n) if weight is not None else 1
+        total += Fraction(cell.sign * term_value(cell, n) * w, cell.divisor)
     return total

@@ -20,6 +20,8 @@ class EmptyDistributionError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class Unweighted:
+    entries = ()  # no literal weights; not a dataclass field
+
     def referenced_preds(self) -> tuple[str, ...]:
         return ()
 
@@ -41,7 +43,7 @@ class SymmetricWeights:
         for pred, (w, wbar) in per_pred.items():
             w, wbar = Fraction(w), Fraction(wbar)
             if (w, wbar) == (1, 1):
-                continue  # no-op weight; keeping it would force tracking
+                continue  # no-op weight
             entries.append((pred, sig.arity(pred), w, wbar))
         return cls(tuple(entries))
 
@@ -109,6 +111,13 @@ class DistributionQuery:
     preds: tuple[str, ...]
     vector: Optional[tuple[int, ...]] = None
 
+    @classmethod
+    def default(cls, problem) -> "DistributionQuery":
+        """The weighted predicates, or else the unary ones."""
+        spec = problem.weights
+        weighted = spec.referenced_preds() if spec is not None else ()
+        return cls(tuple(weighted) or problem.signature.unary)
+
 
 def _base_pred(entry: str) -> str:
     return entry[1:] if entry.startswith("!") else entry
@@ -125,12 +134,7 @@ def count_distribution(problem, query: Optional[DistributionQuery] = None,
     """
     from . import celltypes, engine, transform
 
-    if query is None:
-        spec = problem.weights
-        if spec is not None and not isinstance(spec, Unweighted):
-            query = DistributionQuery(tuple(spec.referenced_preds()))
-        else:
-            query = DistributionQuery(problem.signature.unary)
+    query = query if query is not None else DistributionQuery.default(problem)
     if not query.preds:
         raise ValueError("distribution query needs at least one predicate")
     for entry in query.preds:

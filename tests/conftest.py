@@ -57,6 +57,13 @@ CORPUS = [
      "weight: S 2 1\nweight: F 3 2\n", (1, 2, 3)),
     ("equality", "domain: 3\nbinary: R\n"
      "formula: forall x forall y (R(x,y) -> x != y)\n", (1, 2, 3)),
+    # negative and fractional weights, a constraint on a weighted binary
+    # predicate, and weights sharing one denominator with signs and divisors
+    ("weighted-card", RUNNING_EXAMPLE
+     + "constraint: |R| <= 3\nweight: A -1 1/2\nweight: R 2/3 3\n", (1, 2, 3)),
+    ("weighted-counting", "domain: 2\nunary: A\nbinary: R\n"
+     "formula: forall x (A(x) | exists[=1] y R(x,y))\n"
+     "weight: A -1 2/3\nweight: R 3/2 -2\n", (1, 2)),
 ]
 
 

@@ -236,6 +236,20 @@ def test_counters_populated():
     assert counters.cells >= 1
 
 
+def test_symmetric_weights_track_no_statistic():
+    # literal weights sit on 1-types and 2-types, so each k-vector is one
+    # cell; the diagonal F(x,x) changes a 1-type's weight but not its row
+    # of masks, so the four live smokers types merge into two groups (S
+    # true, S false) whatever the weights are
+    problem, program, tables = compiled(
+        "domain: 12\nunary: S\nbinary: F\n"
+        "formula: forall x forall y (S(x) & F(x,y) -> S(y))\n"
+        "weight: S 2 1\nweight: F 3 2\n")
+    counters = Counters()
+    evaluate(program, tables, 12, problem.weights, counters=counters)
+    assert counters.cells == counters.k_vectors == 12 + 1
+
+
 def test_random_universal_kernels_vs_oracle():
     rng = random.Random(1234)
     for _ in range(30):

@@ -47,6 +47,17 @@ def test_symmetric_skips_unit_entries():
     assert spec.referenced_preds() == ("B",)
 
 
+def test_default_query_without_weighted_preds():
+    # a unit weight is dropped, so the default query falls back to the
+    # unary predicates, as the CLI does
+    problem = lc.parse_problem("domain: 3\nunary: A\nformula: true\n"
+                               "weight: A 1 1\n")
+    assert problem.weights.entries == ()
+    assert count_distribution(problem) == {
+        (0,): Fraction(1, 8), (1,): Fraction(3, 8),
+        (2,): Fraction(3, 8), (3,): Fraction(1, 8)}
+
+
 def test_coin_distribution_exact():
     problem = lc.parse_problem(COINS)
     dist = count_distribution(problem, DistributionQuery(("!H", "H")))
