@@ -10,6 +10,14 @@ keeps the whole computation polynomial in the domain size.  Literal
 weights, Skolem signs and count divisors weigh 1-types and 2-types; only
 constraints, table weights and distribution queries are tracked.
 
+The constraints bound the work in two places.  The polynomial fold
+builds no coefficient beyond the per-dimension caps that the constraint
+tree puts on a k-vector's cross statistics (:meth:`_Constraints.caps`),
+and the k-vector stream cuts every partial composition that already
+breaks a conjunctive upper bound on its k-determined counts
+(:meth:`_Context.stream_bounds`).  Both drop only terms that no
+constraint can accept, so neither changes a result.
+
 Everything is exact: counts are arbitrary-precision integers, weighted
 results are fractions, and no enumeration order can change the total.
 The explicit cell-by-cell enumerations that cross-check this evaluator
@@ -92,11 +100,16 @@ class _Constraints:
     can-be-true half: a leaf can hold when its value range meets the
     bound, an and-node when both children can, an or-node when either
     can.  On a point box (lo == hi) the answer is the exact truth value.
+
+    The same tree bounds the fold from above (:meth:`_caps`) and, through
+    its conjunctive leaves (:meth:`conjunctive_leaves`), the k-vector
+    stream.
     """
 
     def __init__(self, constraints, dims: dict[str, int], ndim: int):
         self.leaves: list[tuple] = []
-        roots = [self._compile(c, False, dims, ndim) for c in constraints]
+        self.roots = roots = [self._compile(c, False, dims, ndim)
+                              for c in constraints]
         # a constraint without tracked leaves is settled by the k-vector
         # alone; only the others tell the cells of one k-vector apart
         tracked = [any(any(self.leaves[i][1]) for i in self._leaf_ids(root))
@@ -106,6 +119,7 @@ class _Constraints:
                                  for i in self._leaf_ids(root))
         self.settled = self._check(r for r, t in zip(roots, tracked) if not t)
         self.admits = self._check(self.cell_roots)
+        self.caps = self._caps(ndim) if self.cell_roots else None
 
     def _compile(self, c, negate: bool, dims, ndim):
         if isinstance(c, CardComparison):
@@ -156,6 +170,71 @@ class _Constraints:
         of binary ones."""
         return tuple(sum(coef * stats[pred] for coef, pred in terms)
                      for terms, _w, _op, _b in self.leaves)
+
+    def conjunctive_leaves(self) -> list[tuple]:
+        """Leaves reachable from a root through and-nodes only: each must
+        hold for the constraints to hold."""
+        out, todo = [], list(self.roots)
+        while todo:
+            node = todo.pop()
+            if type(node) is int:
+                out.append(self.leaves[node])
+            elif node[0]:
+                todo += node[1:]
+        return out
+
+    def _caps(self, ndim: int):
+        """One function ``(consts, lo, hi) -> caps``, generated from our
+        own constraint tree: per-dimension upper bounds on the cross
+        contribution of every cell the tracked constraints can accept,
+        when dimension d ranges over [lo[d], hi[d]].
+
+        Each leaf pushes its bound onto each dimension, with the other
+        dimensions at their current extremes; an and-node takes the
+        smaller of its children's caps, an or-node the larger.  Repeated
+        until nothing tightens: one cap can tighten another, as in the
+        counting encoding, where ``|$f| - |$M| = 0`` caps $M only once
+        ``|$A| + |$B| - |$f| = 0`` has capped $f.  Every cap is sound on
+        its own, so the pass limit only costs tightness.
+        """
+        cs = "".join(f"c{d}, " for d in range(ndim))
+        lines = ["def caps(k, lo, hi):", f"    {cs}= hi",
+                 f"    {''.join(f'l{d}, ' for d in range(ndim))}= lo",
+                 f"    for _ in range({ndim + 2}):", f"        old = {cs}"]
+        for root in self.cell_roots:
+            lines.append(f"        {cs}= " + "".join(
+                f"min(c{d}, {e}), " for d, e in enumerate(self._cap_source(root))))
+        lines += ["        if old == (" + cs + ") or " + " or ".join(
+                      f"c{d} < l{d}" for d in range(ndim)) + ":",
+                  "            break", f"    return [{cs}]"]
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)  # noqa: S102
+        return namespace["caps"]
+
+    def _cap_source(self, node) -> list[str]:
+        """Per-dimension cap expressions of a node over the current caps
+        ``c<d>``, the lows ``l<d>`` and the leaf constants ``k``."""
+        if type(node) is not int:
+            is_and, left, right = node
+            join = "min" if is_and else "max"
+            return [f"{join}({x}, {y})" for x, y in
+                    zip(self._cap_source(left), self._cap_source(right))]
+        _t, wvec, op, bound = self.leaves[node]
+        rows = []  # a . s <= room over the cross contributions s
+        if op in ("<=", "<", "="):
+            rows.append((wvec, f"{bound - (op == '<')} - k[{node}]"))
+        if op in (">=", ">", "="):
+            rows.append(([-w for w in wvec],
+                         f"k[{node}] - {bound + (op == '>')}"))
+        out = [[f"c{d}"] for d in range(len(wvec))]
+        for a, room in rows:
+            for d, w in enumerate(a):
+                if w > 0:
+                    # the other dimensions at the ends that leave d most room
+                    rest = "".join(f" - ({x}) * {'l' if x > 0 else 'c'}{e}"
+                                   for e, x in enumerate(a) if x and e != d)
+                    out[d].append(f"({room}{rest}) // {w}")
+        return [f"min({', '.join(b)})" if len(b) > 1 else b[0] for b in out]
 
     def box(self, consts, lo, hi) -> tuple[list[int], list[int]]:
         """Per-leaf value ranges (lows, highs) when the cross contributions
@@ -257,10 +336,12 @@ class _Context:
         # the leaf constants; distinct k-vectors share those heavily
         self._cellsum_cache: dict[tuple, int] = {}
         self.scalar_cells = self.cell_weight is None and not self.group_preds
-        # statistic vectors ride through the polynomial fold as one
-        # radix-encoded integer; 2 per element pair bounds every dimension
-        self.radix = max(n * (n - 1), 1) + 1
-        self._radix_weights = tuple(self.radix ** d for d in range(self.dim))
+        # statistic vectors ride through the polynomial fold as one integer
+        # of ``bits``-wide fields.  2 per element pair keeps every dimension
+        # below half a field, so adding two capped keys never carries and
+        # the top bit of each field is free for the cap test of _poly_mul
+        self.bits = max(n * (n - 1), 1).bit_length() + 1
+        self._high = sum(1 << (self.bits * (d + 1) - 1) for d in range(self.dim))
 
     # -- per-1-type scalar attributes -------------------------------------
 
@@ -285,25 +366,40 @@ class _Context:
         return hit
 
     def encode(self, svec) -> int:
-        return sum(x * w for x, w in zip(svec, self._radix_weights))
+        return sum(x << (self.bits * d) for d, x in enumerate(svec))
 
     def decode(self, enc: int) -> tuple[int, ...]:
         hit = self._decode_cache.get(enc)
         if hit is None:
-            out = []
-            rest = enc
-            for _ in range(self.dim):
-                rest, r = divmod(rest, self.radix)
-                out.append(r)
-            hit = tuple(out)
+            field = (1 << self.bits) - 1
+            hit = tuple((enc >> (self.bits * d)) & field
+                        for d in range(self.dim))
             self._decode_cache[enc] = hit
         return hit
 
-    def pair_power(self, mask: int, e: int) -> dict:
+    def cap_test(self, caps) -> tuple[int, int]:
+        """``(guard, high)`` such that a key exceeds some of ``caps``
+        exactly when ``(key + guard) & high``.  That holds while no field
+        of the key passes half a field plus its cap, which the sum of two
+        capped keys, or any statistic vector, cannot."""
+        half = 1 << (self.bits - 1)
+        return (sum((half - 1 - c) << (self.bits * d)
+                    for d, c in enumerate(caps)), self._high)
+
+    def pair_power(self, mask: int, e: int, caps=None) -> dict:
+        """The e-th power of a mask's class polynomial, without the terms
+        beyond ``caps``.  A power the caps do not tighten is kept under its
+        plain ``(mask, e)`` key, so every k-vector shares it."""
         key = (mask, e)
+        cap = None
+        if caps is not None:
+            full = tuple(e * x for x in self.classes_for_mask(mask)[5])
+            clamped = tuple(map(min, caps, full))
+            if clamped != full:
+                key, cap = (mask, e, clamped), self.cap_test(clamped)
         hit = self._pow_cache.get(key)
         if hit is None:
-            hit = _poly_pow(self.classes_for_mask(mask)[3], e)
+            hit = _poly_pow(self.classes_for_mask(mask)[3], e, cap)
             self._pow_cache[key] = hit
         return hit
 
@@ -375,6 +471,23 @@ class _Context:
         return [tuple(members) for _key, members in
                 sorted(rows.items(), key=lambda kv: kv[1][0])]
 
+    def stream_bounds(self, groups) -> tuple:
+        """Bounds ``(weights, budget)`` for :func:`_k_stream`: every
+        conjunctive ``<=``, ``<`` or ``=`` leaf whose cross weights and
+        per-group k-determined weights are all nonnegative, since its
+        value is then at least ``sum(count * weight)`` over the groups."""
+        index = {p: i for i, p in enumerate(self.stat_preds)}
+        out = []
+        for terms, wvec, op, bound in self.constraints.conjunctive_leaves():
+            if op not in ("<=", "<", "=") or any(w < 0 for w in wvec):
+                continue
+            bits = [self.type_attrs(g[0])[1] for g in groups]
+            weights = tuple(sum(coef * b[index[pred]] for coef, pred in terms)
+                            for b in bits)
+            if any(weights) and min(weights) >= 0:
+                out.append((weights, bound - (op == "<")))
+        return tuple(out)
+
 
 def _literal_weight(literals, bit, x: int) -> int:
     """Product over ``(pos, w, wbar)`` of w if bit ``pos`` of x, else wbar."""
@@ -389,32 +502,48 @@ def _literal_weight(literals, bit, x: int) -> int:
 # coefficient
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    """Convolution of statistic polynomials.  Keys are radix-encoded
-    statistic vectors (one integer), so key addition is plain addition."""
+def _poly_mul(p: dict, q: dict, cap=None) -> dict:
+    """Convolution of statistic polynomials.  Keys are field-encoded
+    statistic vectors (one integer), so key addition is plain addition.
+    With ``cap`` (a :meth:`_Context.cap_test`), terms beyond the caps are
+    never built.  That is exact for the final product: profiles are
+    nonnegative, so a term that exceeds a cap only grows from there."""
     if len(p) > len(q):
         p, q = q, p
     out: dict = {}
     get = out.get
+    if cap is None:
+        for ka, va in p.items():
+            for kb, vb in q.items():
+                key = ka + kb
+                out[key] = get(key, 0) + va * vb
+        return out
+    guard, high = cap
     for ka, va in p.items():
         for kb, vb in q.items():
             key = ka + kb
-            out[key] = get(key, 0) + va * vb
+            if not (key + guard) & high:
+                out[key] = get(key, 0) + va * vb
     return out
 
 
-def _poly_pow(p: dict, e: int) -> dict:
+def _poly_pow(p: dict, e: int, cap=None) -> dict:
+    if cap is not None:
+        guard, high = cap
+        p = {k: v for k, v in p.items() if not (k + guard) & high}
     if len(p) == 1:
         ((prof, c),) = p.items()
+        if cap is not None and (prof * e + guard) & high:
+            return {}
         return {prof * e: c ** e}
     out = {0: 1}
     base = p
     while e:
         if e & 1:
-            out = _poly_mul(out, base)
+            out = _poly_mul(out, base, cap)
         e >>= 1
         if e:
-            base = _poly_mul(base, base)
+            base = _poly_mul(base, base, cap)
     return out
 
 
@@ -422,7 +551,8 @@ def _poly_pow(p: dict, e: int) -> dict:
 # k-vector streams
 # ---------------------------------------------------------------------------
 
-def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters):
+def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters,
+              bounds=()):
     """Sparse k-vectors over ``units``: yields (positions, counts) with all
     counts positive and sum n.
 
@@ -431,28 +561,48 @@ def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters):
     remaining mass distributed afterwards.  ``pair_alive(a, b)`` must be
     False only when every term containing both units with positive count
     vanishes; ``self_alive(a)`` likewise for two elements of one unit.
+
+    ``bounds`` lists upper bounds ``(weights, budget)``: only k-vectors
+    with sum over positions of ``count * weights[unit]`` at most
+    ``budget`` are wanted.  Weights are nonnegative, so a partial support
+    or composition that already breaks a bound is cut, and counted as
+    pruned.
     """
     m = len(units)
     if m == 0:
         return
     max_s = min(n, m)
 
-    def supports(start: int, chosen: list[int]):
+    def supports(start: int, chosen: list[int], slack):
         if chosen:
-            yield tuple(chosen)
+            yield tuple(chosen), slack
         if len(chosen) == max_s:
             return
         for idx in range(start, m):
-            if all(pair_alive(units[p], units[idx]) for p in chosen):
-                chosen.append(idx)
-                yield from supports(idx + 1, chosen)
-                chosen.pop()
-            else:
+            if not all(pair_alive(units[p], units[idx]) for p in chosen):
                 counters.pruned += 1
+                continue
+            if bounds:
+                rest = tuple(r - w[idx] for r, (w, _b) in zip(slack, bounds))
+                if min(rest) < 0:
+                    counters.pruned += 1
+                    continue
+            else:
+                rest = slack
+            chosen.append(idx)
+            yield from supports(idx + 1, chosen, rest)
+            chosen.pop()
 
-    for support in supports(0, []):
+    for support, slack in supports(0, [], tuple(b for _w, b in bounds)):
         s = len(support)
         fat = [p for p in range(s) if not self_alive(units[support[p]])]
+        if bounds:
+            weights = [tuple(w[idx] for w, _b in bounds) for idx in support]
+            limits = [0 if p in fat else n for p in range(s)]
+            for extra in _capped_compositions(n - s, weights, limits, slack,
+                                              counters):
+                yield support, tuple(1 + e for e in extra)
+            continue
         for extra in compositions(n - s, s):
             if any(extra[p] for p in fat):
                 counters.pruned += 1
@@ -460,7 +610,40 @@ def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters):
             yield support, tuple(1 + e for e in extra)
 
 
-def _group_stream(tables: TypeTables, groups, n: int, counters: Counters):
+def _capped_compositions(total: int, weights, limits, slack,
+                         counters: Counters):
+    """Compositions of ``total`` whose part p is at most ``limits[p]``, and
+    whose sum of ``part[p] * weights[p][b]`` is at most ``slack[b]`` for
+    every bound b.  Each part ranges only over the values that leave both
+    its own bounds and enough room in the later parts; a narrowed range is
+    one cut, counted as pruned."""
+    last = len(weights) - 1
+
+    def top(p, slack):
+        return min([limits[p]] + [r // w for r, w in zip(slack, weights[p])
+                                  if w])
+
+    def parts(p, rest, slack):
+        stop = min(rest, top(p, slack))
+        if p == last:
+            if stop == rest:
+                yield (rest,)
+            else:
+                counters.pruned += 1
+            return
+        start = max(0, rest - sum(top(q, slack) for q in range(p + 1, last + 1)))
+        if start > 0 or stop < rest:
+            counters.pruned += 1
+        for x in range(start, stop + 1):
+            left = tuple(r - x * w for r, w in zip(slack, weights[p]))
+            for tail in parts(p + 1, rest - x, left):
+                yield (x,) + tail
+
+    return parts(0, total, slack)
+
+
+def _group_stream(tables: TypeTables, groups, n: int, counters: Counters,
+                  bounds=()):
     def rep_pair_ok(ga, gb):
         return tables.mask(min(ga[0], gb[0]), max(ga[0], gb[0])) != 0
 
@@ -468,7 +651,7 @@ def _group_stream(tables: TypeTables, groups, n: int, counters: Counters):
         # two elements of one group always sit on a (rep, rep)-shaped pair
         return tables.mask(g[0], g[0]) != 0
 
-    return _k_stream(groups, n, rep_pair_ok, rep_self_ok, counters)
+    return _k_stream(groups, n, rep_pair_ok, rep_self_ok, counters, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -501,76 +684,92 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         counters.pruned += 1
         return
 
+    # (mask, exponent) per pair of blocks, and the box [lo, hi] that the
+    # cross contributions of all pairs together range over
     pair_specs = []
+    lo = hi = (0,) * dim
     for a in range(len(types)):
         for b in range(a, len(types)):
             e = pair_exponent(counts[a], counts[b], a == b)
             if e == 0:
                 continue
             mask = tables.mask(min(types[a], types[b]), max(types[a], types[b]))
-            profiles, _counts, _members, _poly, mins, maxs = \
-                ctx.classes_for_mask(mask)
+            profiles, _w, _members, _poly, mins, maxs = ctx.classes_for_mask(mask)
             if not profiles:
                 counters.pruned += 1
                 return
-            lo = mins if e == 1 else tuple(e * x for x in mins)
-            hi = maxs if e == 1 else tuple(e * x for x in maxs)
-            pair_specs.append((mask, e, lo, hi))
+            pair_specs.append((mask, e))
+            if dim:
+                lo = tuple(x + e * y for x, y in zip(lo, mins))
+                hi = tuple(x + e * y for x, y in zip(hi, maxs))
 
-    def span(specs):
-        return (tuple(sum(lo[d] for _m, _e, lo, _h in specs) for d in range(dim)),
-                tuple(sum(hi[d] for _m, _e, _l, hi in specs) for d in range(dim)))
-
-    zeros = (0,) * dim
-    prune = bool(cons.cell_roots)
-    if prune and not cons.admits(*cons.box(consts, *span(pair_specs)), zeros):
+    if cons.cell_roots and not cons.admits(*cons.box(consts, lo, hi),
+                                           (0,) * dim):
         counters.pruned += 1
         return
-    decode = ctx.decode
-
-    def cells():
-        """Passing (cross statistic vector, coefficient) pairs."""
-        # small powers first so the filters bite while the poly is small
-        pair_specs.sort(key=lambda spec: len(ctx.pair_power(spec[0], spec[1])))
-        poly = {0: 1}
-        for idx, (mask, e, _lo, _hi) in enumerate(pair_specs):
-            poly = _poly_mul(poly, ctx.pair_power(mask, e))
-            if prune and len(poly) > 24:
-                lo, hi = cons.box(consts, *span(pair_specs[idx + 1:]))
-                poly = {enc: coef for enc, coef in poly.items()
-                        if cons.admits(lo, hi, decode(enc))}
-        for enc, coefficient in poly.items():
-            svec = decode(enc)
-            if not prune or cons.admits(consts, consts, svec):
-                counters.cells += 1
-                yield svec, coefficient
 
     base = multinomial(n, counts)
     for g, c in zip(support, counts):
         base *= sum(ctx.type_attrs(t)[0] for t in groups[g]) ** c
 
-    if ctx.scalar_cells:
+    if not dim:
+        # nothing tracked: one cell, whose sum is a product of scalars
+        counters.cells += 1
+        cellsum = 1
+        for mask, e in pair_specs:
+            cellsum *= ctx.pair_power(mask, e)[0]
+        cells = [((), cellsum)]
+    elif ctx.scalar_cells:
         # without per-cell weights only the integer sum over cells counts
-        key = (tuple(sorted(spec[:2] for spec in pair_specs)),
+        key = (tuple(sorted(pair_specs)),
                tuple(consts[i] for i in cons.cell_leaves))
         cellsum = ctx._cellsum_cache.get(key)
         if cellsum is None:
-            cellsum = sum(coefficient for _svec, coefficient in cells())
-            if dim:
-                ctx._cellsum_cache[key] = cellsum
+            cellsum = ctx._cellsum_cache[key] = sum(
+                c for _s, c in _cells(ctx, pair_specs, consts, lo, hi, counters))
+    else:
+        cells = _cells(ctx, pair_specs, consts, lo, hi, counters)
+
+    if ctx.scalar_cells:
         if cellsum == 0:
             counters.pruned += 1
             return
         collect[()] = collect.get((), 0) + base * cellsum
         return
 
-    for svec, coefficient in cells():
+    for svec, coefficient in cells:
         stats = ctx.add_cross(base_stats, svec)
         term = base * coefficient
         if ctx.cell_weight is not None:
             term *= ctx.cell_weight.value(stats, n)
         key = tuple(stats[p] for p in ctx.group_preds)
         collect[key] = collect.get(key, 0) + term
+
+
+def _cells(ctx, pair_specs, consts, lo, hi, counters):
+    """The (cross statistic vector, coefficient) pairs of one k-vector that
+    the constraints accept.  The fold builds no term beyond the caps that
+    the constraints put on each dimension, so the final check only sorts
+    out what the caps cannot see."""
+    cons = ctx.constraints
+    caps = None
+    if cons.cell_roots:
+        caps = cons.caps(consts, lo, hi)
+        if any(c < x for c, x in zip(caps, lo)):
+            return []
+    cap = None if caps is None else ctx.cap_test(caps)
+    powers = sorted((ctx.pair_power(mask, e, caps) for mask, e in pair_specs),
+                    key=len)
+    poly = {0: 1}
+    for power in powers:
+        poly = _poly_mul(poly, power, cap)
+    out = []
+    for enc, coefficient in poly.items():
+        svec = ctx.decode(enc)
+        if caps is None or cons.admits(consts, consts, svec):
+            out.append((svec, coefficient))
+    counters.cells += len(out)
+    return out
 
 
 def _evaluate(ctx: _Context, threads: int, counters: Optional[Counters],
@@ -580,7 +779,8 @@ def _evaluate(ctx: _Context, threads: int, counters: Optional[Counters],
     counters = counters if counters is not None else Counters()
     collect: dict = {}
     groups = ctx.merged_groups()
-    kvecs = _group_stream(ctx.tables, groups, ctx.n, counters)
+    kvecs = _group_stream(ctx.tables, groups, ctx.n, counters,
+                          ctx.stream_bounds(groups))
     if threads > 1 and len(groups) > 1:
         _evaluate_parallel(ctx, groups, list(kvecs), threads, counters, collect)
     else:
@@ -596,7 +796,8 @@ def evaluate(program: CountingProgram, tables: TypeTables, n: int,
     For an unweighted program this is the model count of the source
     sentence: the signed terms cancel so the result is a nonnegative
     integer-valued Fraction.  The sum runs over merged 1-type groups with
-    per-pair polynomial folding; the explicit enumerations of
+    per-pair polynomial folding, capped where the constraints bound the
+    statistics; the explicit enumerations of
     :mod:`liftcount.reference` compute the same value cell by cell.
     """
     parts = _evaluate(_Context(program, tables, n, weight), threads,

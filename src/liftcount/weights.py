@@ -127,10 +127,13 @@ def count_distribution(problem, query: Optional[DistributionQuery] = None,
                        threads: int = 1) -> dict[tuple[int, ...], Fraction]:
     """Distribution of count vectors over the problem's weighted models.
 
-    Returns a map from count vector to exact probability; the support is
-    every statistics cell the formula admits, so zero-probability vectors
-    that are structurally possible do appear.  Raises
-    :class:`EmptyDistributionError` when the partition function is zero.
+    Returns a map from count vector to exact probability.  It lists the
+    vectors that some model realizes, as
+    :func:`liftcount.oracle_distribution` does, so a vector whose models
+    all weigh 0 appears with probability 0, and a vector that no model
+    realizes does not appear.  A ``query.vector`` outside that support maps
+    to 0.  Raises :class:`EmptyDistributionError` when the partition
+    function is zero.
     """
     from . import celltypes, engine, transform
 
@@ -151,6 +154,15 @@ def count_distribution(problem, query: Optional[DistributionQuery] = None,
     z = sum(grouped.values(), Fraction(0))
     if z == 0:
         raise EmptyDistributionError("partition function is zero")
+    # an exact zero is a vector that no model realizes, unless weights
+    # make it one; then the plain model count of each vector tells which
+    zeros = [key for key, val in grouped.items() if val == 0]
+    if zeros and problem.weights not in (None, Unweighted()):
+        models = engine.evaluate_grouped(program, tables, n, None,
+                                         group_preds=base, threads=threads)
+        zeros = [key for key in zeros if not models.get(key)]
+    for key in zeros:
+        del grouped[key]
 
     sizes = {p: (n if problem.signature.arity(p) == 1 else n * n) for p in base}
     result: dict[tuple[int, ...], Fraction] = {}

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -250,6 +251,35 @@ def test_symmetric_weights_track_no_statistic():
     assert counters.cells == counters.k_vectors == 12 + 1
 
 
+def test_bounded_fold_cuts_dead_k_vectors():
+    # |R| <= 5 cuts every k-vector with more than 5 diagonal R atoms from
+    # the stream (12 341 k-vectors without the cut); with |A| = k the
+    # friends sentence leaves k*k + (n - k)*n pairs free for R
+    _p, program, tables = compiled(RUNNING_EXAMPLE + "constraint: |R| <= 5\n")
+    n = 40
+    counters = Counters()
+    value = evaluate(program, tables, n, counters=counters)
+    assert value == sum(comb(n, k) * sum(comb(k * k + (n - k) * n, j)
+                                         for j in range(6))
+                        for k in range(n + 1))
+    assert counters.k_vectors <= 1000
+
+
+def test_counting_caps_reach_fixpoint():
+    _p, program, tables = compiled(
+        "domain: 8\nbinary: R\nformula: forall x exists[=1] y R(x,y)\n")
+    assert evaluate(program, tables, 8) == 8 ** 8
+    # with 8 counted elements, |$A1| + |$B1| - |$f1_1| = 0 caps the cross
+    # part of $f1_1 at 8; only a second pass carries that cap through
+    # |$f1_1| - |$M1| = 0 onto $M1, which one pass leaves at n(n - 1)
+    ctx = engine._Context(program, tables, 8)
+    assert ctx.tracked_binary == ("$f1_1", "$M1")
+    stats = dict.fromkeys(ctx.stat_preds, 0)
+    stats["$A1"] = 8
+    consts = ctx.constraints.consts(stats)
+    assert ctx.constraints.caps(consts, (0, 0), (56, 56)) == [8, 8]
+
+
 def test_random_universal_kernels_vs_oracle():
     rng = random.Random(1234)
     for _ in range(30):
@@ -275,3 +305,69 @@ def test_library_prints_big_counts_in_fresh_interpreter():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "12042"
+
+
+FUZZ_BASES = [
+    # (signature and sentence, binary predicates, largest n for the
+    # explicit enumeration, largest n for the oracle)
+    ("unary: A\nbinary: R\n"
+     "formula: forall x forall y (A(x) & R(x,y) & x != y -> A(y))\n",
+     ("R",), 4, 3),
+    ("unary: A\nbinary: R\nformula: forall x (A(x) | exists y R(x,y))\n",
+     ("R",), 4, 3),
+    ("unary: A\nbinary: R, S\n"
+     "formula: forall x forall y (R(x,y) -> S(y,x) | A(x))\n", ("R", "S"), 3, 2),
+]
+
+
+def _random_constraint(rng, preds, depth=2):
+    """Random boolean combination of linear cardinality comparisons, with
+    negative coefficients and coefficients above 1."""
+    if depth == 0 or rng.random() < 0.4:
+        terms = rng.sample(preds, rng.choice((1, 2)))
+        text = ""
+        for i, pred in enumerate(terms):
+            coef = rng.choice((-2, -1, 1, 1, 2, 3))
+            sign = "-" if coef < 0 else ("+" if i else "")
+            text += f" {sign} {abs(coef)}*|{pred}|"
+        op = rng.choice(("=", "!=", "<=", "<", ">=", ">"))
+        bound = rng.randint(-2, 6)
+        if op == "!=":  # the syntax spells it as a negated equality
+            return f"~({text} = {bound})"
+        return f"({text} {op} {bound})"
+    kind = rng.choice(("and", "or", "not"))
+    if kind == "not":
+        return f"~{_random_constraint(rng, preds, depth - 1)}"
+    joint = " & " if kind == "and" else " | "
+    return ("(" + _random_constraint(rng, preds, depth - 1) + joint
+            + _random_constraint(rng, preds, depth - 1) + ")")
+
+
+def test_random_constraint_trees_differential():
+    # seeded and time-boxed: the bounded fold and the stream cut must give
+    # the explicit enumeration's value, grouped or not, and the oracle's
+    rng = random.Random(2110)
+    deadline = time.perf_counter() + 5.0
+    checked = 0
+    while time.perf_counter() < deadline:
+        base, binary, reference_n, oracle_n = rng.choice(FUZZ_BASES)
+        text = "domain: 1\n" + base + "".join(
+            f"constraint: {_random_constraint(rng, ('A',) + binary)}\n"
+            for _ in range(rng.choice((1, 2))))
+        problem, program, tables = compiled(text)
+        for n in range(1, reference_n + 1):
+            if time.perf_counter() > deadline:
+                break
+            want = reference.stream_value(program, tables, n)
+            assert evaluate(program, tables, n) == want, (text, n)
+            grouped = engine.evaluate_grouped(program, tables, n, None, ("A",))
+            assert sum(grouped.values()) == want, (text, n)
+            if n <= oracle_n:
+                sized = problem.with_domain_size(n)
+                assert want == oracle.oracle_count(sized), (text, n)
+                if want:
+                    dist = {k: v / want for k, v in grouped.items() if v}
+                    assert dist == oracle.oracle_distribution(
+                        sized, lc.DistributionQuery(("A",))), (text, n)
+            checked += 1
+    assert checked >= 20

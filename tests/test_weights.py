@@ -128,6 +128,10 @@ def test_distribution_matches_oracle():
          "weight: S 2 1\nweight: F 3 2\n", ("S", "F")),
         ("domain: 3\nunary: A\nbinary: R\n"
          "formula: forall x (A(x) | exists y R(x,y))\n", ("A",)),
+        # the signed sums of vectors that no model realizes cancel to 0
+        ("domain: 2\nbinary: R\nformula: forall x exists y R(x,y)\n", ("R",)),
+        ("domain: 3\nbinary: R\nformula: forall x exists[>=2] y R(x,y)\n",
+         ("R",)),
     ]:
         problem = lc.parse_problem(text)
         query = DistributionQuery(preds)
