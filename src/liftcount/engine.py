@@ -391,7 +391,7 @@ class _Context:
         beyond ``caps``.  A power the caps do not tighten is kept under its
         plain ``(mask, e)`` key, so every k-vector shares it."""
         key = (mask, e)
-        cap = None
+        cap = (0, 0)
         if caps is not None:
             full = tuple(e * x for x in self.classes_for_mask(mask)[5])
             clamped = tuple(map(min, caps, full))
@@ -502,23 +502,18 @@ def _literal_weight(literals, bit, x: int) -> int:
 # coefficient
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p: dict, q: dict, cap=None) -> dict:
+def _poly_mul(p: dict, q: dict, cap=(0, 0)) -> dict:
     """Convolution of statistic polynomials.  Keys are field-encoded
     statistic vectors (one integer), so key addition is plain addition.
-    With ``cap`` (a :meth:`_Context.cap_test`), terms beyond the caps are
-    never built.  That is exact for the final product: profiles are
-    nonnegative, so a term that exceeds a cap only grows from there."""
+    Terms beyond the caps of ``cap`` (a :meth:`_Context.cap_test`; the
+    default caps nothing) are never built.  That is exact for the final
+    product: profiles are nonnegative, so a term that exceeds a cap only
+    grows from there."""
     if len(p) > len(q):
         p, q = q, p
+    guard, high = cap
     out: dict = {}
     get = out.get
-    if cap is None:
-        for ka, va in p.items():
-            for kb, vb in q.items():
-                key = ka + kb
-                out[key] = get(key, 0) + va * vb
-        return out
-    guard, high = cap
     for ka, va in p.items():
         for kb, vb in q.items():
             key = ka + kb
@@ -527,13 +522,12 @@ def _poly_mul(p: dict, q: dict, cap=None) -> dict:
     return out
 
 
-def _poly_pow(p: dict, e: int, cap=None) -> dict:
-    if cap is not None:
-        guard, high = cap
-        p = {k: v for k, v in p.items() if not (k + guard) & high}
+def _poly_pow(p: dict, e: int, cap=(0, 0)) -> dict:
+    guard, high = cap
+    p = {k: v for k, v in p.items() if not (k + guard) & high}
     if len(p) == 1:
         ((prof, c),) = p.items()
-        if cap is not None and (prof * e + guard) & high:
+        if (prof * e + guard) & high:
             return {}
         return {prof * e: c ** e}
     out = {0: 1}
@@ -594,19 +588,11 @@ def _k_stream(units, n: int, pair_alive, self_alive, counters: Counters,
             chosen.pop()
 
     for support, slack in supports(0, [], tuple(b for _w, b in bounds)):
-        s = len(support)
-        fat = [p for p in range(s) if not self_alive(units[support[p]])]
-        if bounds:
-            weights = [tuple(w[idx] for w, _b in bounds) for idx in support]
-            limits = [0 if p in fat else n for p in range(s)]
-            for extra in _capped_compositions(n - s, weights, limits, slack,
-                                              counters):
-                yield support, tuple(1 + e for e in extra)
-            continue
-        for extra in compositions(n - s, s):
-            if any(extra[p] for p in fat):
-                counters.pruned += 1
-                continue
+        # two elements of a unit that cannot pair make its count at most 1
+        limits = [n if self_alive(units[idx]) else 0 for idx in support]
+        weights = [tuple(w[idx] for w, _b in bounds) for idx in support]
+        for extra in _capped_compositions(n - len(support), weights, limits,
+                                          slack, counters):
             yield support, tuple(1 + e for e in extra)
 
 
@@ -618,10 +604,16 @@ def _capped_compositions(total: int, weights, limits, slack,
     its own bounds and enough room in the later parts; a narrowed range is
     one cut, counted as pruned."""
     last = len(weights) - 1
+    if total == 0:  # the common case at small n: one composition, no cut
+        yield (0,) * (last + 1)
+        return
 
     def top(p, slack):
-        return min([limits[p]] + [r // w for r, w in zip(slack, weights[p])
-                                  if w])
+        t = limits[p]
+        for r, w in zip(slack, weights[p]):
+            if w and r // w < t:
+                t = r // w
+        return t
 
     def parts(p, rest, slack):
         stop = min(rest, top(p, slack))
@@ -639,7 +631,7 @@ def _capped_compositions(total: int, weights, limits, slack,
             for tail in parts(p + 1, rest - x, left):
                 yield (x,) + tail
 
-    return parts(0, total, slack)
+    yield from parts(0, total, slack)
 
 
 def _group_stream(tables: TypeTables, groups, n: int, counters: Counters,
@@ -757,7 +749,7 @@ def _cells(ctx, pair_specs, consts, lo, hi, counters):
         caps = cons.caps(consts, lo, hi)
         if any(c < x for c, x in zip(caps, lo)):
             return []
-    cap = None if caps is None else ctx.cap_test(caps)
+    cap = (0, 0) if caps is None else ctx.cap_test(caps)
     powers = sorted((ctx.pair_power(mask, e, caps) for mask, e in pair_specs),
                     key=len)
     poly = {0: 1}

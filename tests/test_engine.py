@@ -344,20 +344,17 @@ def _random_constraint(rng, preds, depth=2):
 
 
 def test_random_constraint_trees_differential():
-    # seeded and time-boxed: the bounded fold and the stream cut must give
-    # the explicit enumeration's value, grouped or not, and the oracle's
+    # a fixed, seeded draw (about 5 s): the bounded fold and the stream cut
+    # must give the explicit enumeration's value, grouped or not, and the
+    # oracle's
     rng = random.Random(2110)
-    deadline = time.perf_counter() + 5.0
-    checked = 0
-    while time.perf_counter() < deadline:
+    for _ in range(20):
         base, binary, reference_n, oracle_n = rng.choice(FUZZ_BASES)
         text = "domain: 1\n" + base + "".join(
             f"constraint: {_random_constraint(rng, ('A',) + binary)}\n"
             for _ in range(rng.choice((1, 2))))
         problem, program, tables = compiled(text)
         for n in range(1, reference_n + 1):
-            if time.perf_counter() > deadline:
-                break
             want = reference.stream_value(program, tables, n)
             assert evaluate(program, tables, n) == want, (text, n)
             grouped = engine.evaluate_grouped(program, tables, n, None, ("A",))
@@ -369,5 +366,3 @@ def test_random_constraint_trees_differential():
                     dist = {k: v / want for k, v in grouped.items() if v}
                     assert dist == oracle.oracle_distribution(
                         sized, lc.DistributionQuery(("A",))), (text, n)
-            checked += 1
-    assert checked >= 20
