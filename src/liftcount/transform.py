@@ -4,21 +4,24 @@ problem into a pure-universal counting program.
 
 The compiled program consists of a quantifier-free kernel over an extended
 signature plus bookkeeping: unary predicates whose per-type counts feed
-the exponent of (-1), per-extracted-count divisors m!^(count of the
-extraction predicate), and cardinality constraints that surviving
-statistics cells must satisfy.  Fresh predicates use the reserved ``$``
-prefix, which the parser rejects in user input.
+the exponent of (-1), per-class divisors j!^(count of the class
+predicate), and cardinality constraints that surviving statistics cells
+must satisfy.  All exact counts on one counted relation share one
+counting block.  Fresh predicates use the reserved ``$`` prefix, which
+the parser rejects in user input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
 
 from .formula import (And, Atom, CardComparison, CardConstraint,
                       CountExists, Exists, Forall, Formula, Iff, Implies,
                       Not, Or, Problem, Signature, Top, TRUE, conjoin,
-                      conjuncts, format_formula, free_vars,
-                      is_quantifier_free, swap_xy)
+                      conjuncts, format_constraint, format_formula,
+                      free_vars, is_quantifier_free, swap_xy)
 
 _X = ("x",)
 _XY = ("x", "y")
@@ -37,7 +40,7 @@ class SNF:
 @dataclass(frozen=True)
 class CountingTriple:
     """One extracted exact-count quantifier: pred(x) <-> exactly ``count``
-    y with relation(x, y)."""
+    y with relation(x, y).  The triples on one relation share a block."""
 
     pred: str
     count: int
@@ -49,7 +52,7 @@ class CountingProgram:
     signature: Signature  # extended with all fresh predicates
     kernel: Formula
     sign_preds: tuple[str, ...]
-    divisors: tuple[tuple[str, int], ...]  # (extraction predicate, m)
+    divisors: tuple[tuple[str, int], ...]  # (class predicate, count)
     constraints: tuple[CardConstraint, ...]
     original_preds: tuple[str, ...]
     fresh_ledger: dict[str, str] = field(default_factory=dict)
@@ -64,13 +67,10 @@ class _FreshNames:
         self.binary: list[str] = []
         self.ledger: dict[str, str] = {}
 
-    def _next(self, letter: str) -> int:
-        self.counts[letter] = self.counts.get(letter, 0) + 1
-        return self.counts[letter]
-
     def make(self, letter: str, arity: int, role: str, name: str = None) -> str:
         if name is None:
-            name = f"${letter}{self._next(letter)}"
+            self.counts[letter] = self.counts.get(letter, 0) + 1
+            name = f"${letter}{self.counts[letter]}"
         (self.unary if arity == 1 else self.binary).append(name)
         self.ledger[name] = role
         return name
@@ -129,13 +129,15 @@ def extract_counting(f: Formula, names: _FreshNames = None):
     ``A(x) <-> exists exactly m y with R(x,y)``; when the counted body is
     not already the atom R(x,y), a fresh binary relation is introduced and
     defined by a universally quantified biconditional (returned among the
-    axioms).  A closed counting subformula is uniform over the domain, so
-    its occurrence is replaced by ``forall x A(x)``.
+    axioms), one per body whatever its counts.  A closed counting
+    subformula is uniform over the domain, so its occurrence is replaced
+    by ``forall x A(x)``.
     """
     names = names if names is not None else _FreshNames()
     triples: list[CountingTriple] = []
     axioms: list[Formula] = []
-    cache: dict[tuple[int, Formula], str] = {}
+    relations: dict[Formula, str] = {}
+    preds: dict[tuple[int, str], str] = {}
 
     def walk(g: Formula, scope: str = None) -> Formula:
         if isinstance(g, Not):
@@ -151,20 +153,22 @@ def extract_counting(f: Formula, names: _FreshNames = None):
             free = free_vars(body) - {g.var}
             # normalize so the counted variable is y and the free one x
             normalized = swap_xy(body) if g.var == "x" else body
-            key = (g.count, normalized)
-            if key not in cache:
-                if normalized == Atom_xy(normalized):
+            relation = relations.get(normalized)
+            if relation is None:
+                if isinstance(normalized, Atom) and normalized.args == _XY:
                     relation = normalized.pred
                 else:
                     relation = names.make("R", 2, "counted relation for "
                                           + format_formula(normalized))
                     axioms.append(Forall("x", Forall("y", Iff(
                         Atom(relation, _XY), normalized))))
+                relations[normalized] = relation
+            pred = preds.get((g.count, relation))
+            if pred is None:
                 pred = names.make("A", 1, f"holds where exactly {g.count} "
                                   f"successors satisfy {relation}(x,y)")
                 triples.append(CountingTriple(pred, g.count, relation))
-                cache[key] = pred
-            pred = cache[key]
+                preds[g.count, relation] = pred
             if free:
                 (w,) = free
                 return Atom(pred, (w,))
@@ -175,13 +179,6 @@ def extract_counting(f: Formula, names: _FreshNames = None):
 
     out = walk(f)
     return out, tuple(triples), tuple(axioms)
-
-
-def Atom_xy(g: Formula):
-    """The formula itself when it is an atom applied to exactly (x, y)."""
-    if isinstance(g, Atom) and g.args == _XY:
-        return g
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,6 @@ def to_snf(f: Formula, names: _FreshNames = None) -> SNF:
             psis.append(Or(Not(body_y), head))
 
     def define(q) -> str:
-        free = free_vars(q)
         body = q.body if q.var == "y" else swap_xy(q.body)
         pred = names.make("D", 1, "stands for " + format_formula(q))
         emit_definition(pred, type(q), body)
@@ -309,21 +305,24 @@ def compile_problem(p: Problem) -> CountingProgram:
     """Compile a validated problem into a pure-universal counting program.
 
     Pipeline: expand counting quantifiers; extract exact-count subformulas
-    into (A, m, R) triples; Scott-convert the remainder together with the
-    extraction axioms; turn each forall-exists conjunct into a fresh sign
-    predicate with a blocking kernel clause; realize each counting triple
-    with its auxiliary predicates, kernel axioms, integer-cleared
-    cardinality constraints, sign predicates, and divisor; append the
-    user's constraints.
+    into (A_j, j, R) triples; Scott-convert the remainder with the
+    extraction axioms; turn each forall-exists conjunct into a sign
+    predicate with a blocking clause; build one counting block per counted
+    relation R; append the user's constraints.  Class j of R's block is
+    A_j | B_j, B_j a padding companion (sign -1, B_j -> ~A_j); classes
+    exclude each other.  Disjoint slots f_i inside R, one blocker P_i each
+    (sign -1) and |f_i| = sum over j >= i of |A_j| + |B_j| give a class-j
+    element one successor in each of f_1..f_j; the marker
+    M <-> (some class)(x) & R(x,y), with |M| = sum of |f_i|, leaves it no
+    others.  Divisors (A_j, j) and (B_j, j), j > 1, cancel the j! slot
+    orders, so an element with j successors outside A_j weighs 1 - 1 = 0.
     """
     names = _FreshNames()
     expanded = expand_counting(p.sentence)
     extracted, triples, axioms = extract_counting(expanded, names)
     snf = to_snf(conjoin((extracted,) + tuple(axioms)), names)
 
-    clauses: list[Formula] = []
-    if not isinstance(snf.phi, Top):
-        clauses.append(snf.phi)
+    clauses: list[Formula] = [snf.phi]  # conjoin drops a Top
     sign_preds: list[str] = []
 
     for psi in snf.psis:
@@ -334,37 +333,39 @@ def compile_problem(p: Problem) -> CountingProgram:
 
     divisors: list[tuple[str, int]] = []
     constraints: list[CardConstraint] = []
-    for k, t in enumerate(triples, start=1):
-        a, m, rel = t.pred, t.count, t.relation
-        bpred = names.make("B", 1, f"padding companion of {a}")
-        fpreds = [names.make("f", 2, f"successor slot {i} for {a}",
-                             name=f"$f{k}_{i}")
-                  for i in range(1, m + 1)]
-        mpred = names.make("M", 2, f"marked successors of {a}")
-        ppreds = [names.make("P", 1, f"blocks missing slot-{i} witness for {a}",
-                             name=f"$P{k}_{i}")
-                  for i in range(1, m + 1)]
-        a_or_b = Or(Atom(a, _X), Atom(bpred, _X))
-        for i in range(m):
-            for j in range(i + 1, m):
-                clauses.append(Implies(Atom(fpreds[i], _XY),
-                                       Not(Atom(fpreds[j], _XY))))
-        for i in range(m):
-            clauses.append(Implies(Atom(fpreds[i], _XY), Atom(rel, _XY)))
-        clauses.append(Implies(Atom(bpred, _X), Not(Atom(a, _X))))
-        clauses.append(Iff(Atom(mpred, _XY), And(a_or_b, Atom(rel, _XY))))
-        for i in range(m):
-            clauses.append(Implies(Atom(ppreds[i], _X),
-                                   Not(Implies(a_or_b, Atom(fpreds[i], _XY)))))
+    for k, rel in enumerate(dict.fromkeys(t.relation for t in triples), 1):
+        group = [t for t in triples if t.relation == rel]
+        m, r = max(t.count for t in group), Atom(rel, _XY)
+        bpreds = [names.make("B", 1, f"padding companion of {t.pred}")
+                  for t in group]
+        slots = [Atom(names.make("f", 2, f"successor slot {i} for {rel}",
+                                 name=f"$f{k}_{i}"), _XY)
+                 for i in range(1, m + 1)]
+        mpred = names.make("M", 2, f"marked successors of {rel}")
+        ppreds = [names.make("P", 1, f"blocks missing slot-{i} witness for {rel}",
+                             name=f"$P{k}_{i}") for i in range(1, m + 1)]
+        classes = [Or(Atom(t.pred, _X), Atom(b, _X))
+                   for t, b in zip(group, bpreds)]
+        # per slot i, the classes j >= i that fill it
+        fills = [reduce(Or, (c for t, c in zip(group, classes) if t.count >= i))
+                 for i in range(1, m + 1)]
+        clauses.extend(Implies(f, Not(g)) for f, g in combinations(slots, 2))
+        clauses.extend(Implies(f, r) for f in slots)
+        clauses.extend(Implies(Atom(b, _X), Not(Atom(t.pred, _X)))
+                       for t, b in zip(group, bpreds))
+        clauses.extend(Implies(c, Not(d)) for c, d in combinations(classes, 2))
+        clauses.append(Iff(Atom(mpred, _XY), And(fills[0], r)))
+        clauses.extend(Implies(Atom(q, _X), Not(Implies(fill, f)))
+                       for q, f, fill in zip(ppreds, slots, fills))
+        for i, f in enumerate(slots, 1):
+            constraints.append(CardComparison(tuple(
+                (1, q) for t, b in zip(group, bpreds) if t.count >= i
+                for q in (t.pred, b)) + ((-1, f.pred),), "=", 0))
         constraints.append(CardComparison(
-            ((1, a), (1, bpred), (-1, fpreds[0])), "=", 0))
-        for i in range(m - 1):
-            constraints.append(CardComparison(
-                ((1, fpreds[i]), (-1, fpreds[i + 1])), "=", 0))
-        constraints.append(CardComparison(((m, fpreds[0]), (-1, mpred)), "=", 0))
-        sign_preds.append(bpred)
-        sign_preds.extend(ppreds)
-        divisors.append((a, m))
+            tuple((1, f.pred) for f in slots) + ((-1, mpred),), "=", 0))
+        sign_preds.extend(bpreds + ppreds)
+        divisors += [(q, t.count) for t, b in zip(group, bpreds)
+                     for q in (t.pred, b) if q == t.pred or t.count > 1]
 
     constraints.extend(p.constraints)
     signature = p.signature.extend(names.unary, names.binary)
@@ -381,8 +382,6 @@ def compile_problem(p: Problem) -> CountingProgram:
 
 def format_program(program: CountingProgram) -> str:
     """Render a compiled program in (an extension of) the file grammar."""
-    from .formula import format_constraint
-
     lines = []
     if program.signature.unary:
         lines.append("unary: " + ", ".join(program.signature.unary))

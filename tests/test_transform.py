@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 
 import liftcount as lc
@@ -165,6 +168,15 @@ def test_user_constraints_appended():
      "formula: forall x (A(x) <-> ~ exists[=1] y R(x,y))\n", (1, 2)),
     ("domain: 2\nunary: A\nbinary: R\n"
      "formula: forall y (A(y) -> exists[=1] x R(x,y))\n", (1, 2)),
+    # exact counts m >= 2 that some element may fail: the padding
+    # companion must weigh 1 - 1 = 0 there, not 1 - m!
+    ("domain: 2\nunary: A\nbinary: R\n"
+     "formula: forall x exists[>=3] y R(x,y)\n", (1, 2, 3)),
+    ("domain: 2\nbinary: R\nformula: forall x ~ exists[=2] y R(x,y)\n", (1, 2, 3)),
+    ("domain: 2\nunary: A\nbinary: R\n"
+     "formula: forall x (A(x) -> exists[=2] y R(x,y))\n", (1, 2, 3)),
+    ("domain: 2\nunary: A\nbinary: R\n"
+     "formula: forall x (A(x) | exists[<=2] y R(x,y))\n", (1, 2, 3)),
 ])
 def test_compile_counting_against_oracle(text, ns):
     for n in ns:
@@ -177,3 +189,55 @@ def test_fresh_names_deterministic():
     _p1, prog1, _t1 = compiled(text)
     _p2, prog2, _t2 = compiled(text)
     assert prog1 == prog2
+
+
+def test_counting_block_per_relation():
+    # the exact counts an at-most or at-least expands to share one block:
+    # slots, marker, blockers, and one fresh relation for a compound body
+    def shape(formula, unary=""):
+        _problem, program, tables = compiled(
+            f"domain: 2\n{unary}binary: R\nformula: {formula}\n")
+        return (tables.order.u, tables.order.b, len(program.constraints),
+                program.signature.binary)
+
+    le2 = "forall x exists[<=2] y R(x,y)"
+    assert shape(le2) == (12, 8, 3, ("R", "$f1_1", "$f1_2", "$M1"))
+    assert shape("forall x exists[<=2] y (R(x,y) & B(y))", "unary: B\n") == \
+        (14, 10, 3, ("R", "$R1", "$f1_1", "$f1_2", "$M1"))
+    assert shape("forall x exists[<=3] y R(x,y)")[:2] == (16, 10)
+    ge4 = "forall x exists[>=4] y R(x,y)"
+    assert shape(ge4)[:2] == (16, 10)
+    assert closed_count(f"domain: 2\nbinary: R\nformula: {le2}\n", 4) == \
+        sum(comb(4, j) for j in range(3)) ** 4
+    # every element has at most 3 successors, so the signed terms cancel
+    assert closed_count(f"domain: 2\nbinary: R\nformula: {ge4}\n", 3) == \
+        (2 ** 3 - sum(comb(3, j) for j in range(4))) ** 3 == 0
+
+
+_SHAPE_LITERALS = ("R(x,y)", "R(y,x)", "x = y", "A(y)")
+
+
+def _random_shape(rng):
+    """A plain or counting quantifier over a one- or two-literal body, in
+    one of four positions under ``forall x``; also returns the count (0
+    for a plain quantifier)."""
+    literals = [("~" if rng.random() < 0.3 else "") + rng.choice(_SHAPE_LITERALS)
+                for _ in range(rng.choice((1, 2)))]
+    body = rng.choice((" & ", " | ")).join(literals)
+    m = rng.randint(1, 3)
+    quant = rng.choice(("forall y", "exists y", f"exists[={m}] y",
+                        f"exists[<={m}] y", f"exists[>={m}] y"))
+    position = rng.choice(("{}", "~ {}", "A(x) -> {}", "A(x) | {}"))
+    return (m if "[" in quant else 0), \
+        "forall x (" + position.format(f"{quant} ({body})") + ")"
+
+
+def test_random_counting_shapes_against_oracle():
+    # a fixed, seeded draw of 170 checks (about 8 s); n stops at 2 for a
+    # count of 3, whose programs take seconds to minutes at n = 3
+    rng = random.Random(1)
+    for _ in range(60):
+        m, sentence = _random_shape(rng)
+        text = "domain: 1\nunary: A\nbinary: R\nformula: " + sentence + "\n"
+        for n in range(1, 3 if m == 3 else 4):
+            assert closed_count(text, n) == brute_count(text, n), (sentence, n)
