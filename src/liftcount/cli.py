@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=text)
         common(p)
         p.add_argument("--progress", action="store_true",
-                       help="emit enumeration progress to standard error")
+                       help="report progress on standard error once a second")
         p.add_argument("--dump-tables", action="store_true")
         p.add_argument("--dump-program", action="store_true")
 

@@ -10,13 +10,16 @@ keeps the whole computation polynomial in the domain size.  Literal
 weights, Skolem signs and count divisors weigh 1-types and 2-types; only
 constraints, table weights and distribution queries are tracked.
 
-The constraints bound the work in two places.  The polynomial fold
-builds no coefficient beyond the per-dimension caps that the constraint
-tree puts on a k-vector's cross statistics (:meth:`_Constraints.caps`),
-and the k-vector stream cuts every partial composition that already
-breaks a conjunctive upper bound on its k-determined counts
-(:meth:`_Context.stream_bounds`).  Both drop only terms that no
-constraint can accept, so neither changes a result.
+The constraints bound the work in three places.  The k-vector stream
+cuts every partial composition that already breaks a conjunctive upper
+bound on its k-determined counts (:meth:`_Context.stream_bounds`).  A
+k-vector is dropped before its fold when some constraint fails on every
+value its leaves can take, each pair adding one profile of its mask
+(the per-leaf ranges of :meth:`_Context.classes_for_mask`).  And the
+polynomial fold builds no coefficient beyond the per-dimension caps that
+the constraint tree puts on a k-vector's cross statistics
+(:meth:`_Constraints.caps`).  All three drop only terms that no
+constraint can accept, so none changes a result.
 
 Everything is exact: counts are arbitrary-precision integers, weighted
 results are fractions, and no enumeration order can change the total.
@@ -30,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from time import monotonic
 from typing import Iterator, Optional
 
 from .celltypes import TypeTables
@@ -96,10 +100,11 @@ class _Constraints:
     per tracked dimension, a weight times that dimension's cross
     contribution.  Negations are pushed into the leaf operators, so each
     constraint is a tree of and/or nodes over leaves, and the three-valued
-    question "can it still hold somewhere in this box?" needs only its
-    can-be-true half: a leaf can hold when its value range meets the
-    bound, an and-node when both children can, an or-node when either
-    can.  On a point box (lo == hi) the answer is the exact truth value.
+    question "can it still hold when each leaf ranges over [lo, hi]?"
+    needs only its can-be-true half: a leaf can hold when its value range
+    meets the bound, an and-node when both children can, an or-node when
+    either can.  On point ranges (lo == hi) the answer is the exact truth
+    value.
 
     The same tree bounds the fold from above (:meth:`_caps`) and, through
     its conjunctive leaves (:meth:`conjunctive_leaves`), the k-vector
@@ -150,8 +155,8 @@ class _Constraints:
         return eval(f"lambda lo, hi, s: {source or True}", {})  # noqa: S307
 
     def _source(self, node) -> str:
-        """Can-be-true expression over the per-leaf ranges ``lo``/``hi``
-        of :meth:`box`, moved by the cross contribution vector ``s``."""
+        """Can-be-true expression over the per-leaf value ranges
+        ``lo``/``hi``, moved by the cross contribution vector ``s``."""
         if type(node) is not int:
             is_and, left, right = node
             return (f"({self._source(left)}) {'and' if is_and else 'or'} "
@@ -235,23 +240,6 @@ class _Constraints:
                                    for e, x in enumerate(a) if x and e != d)
                     out[d].append(f"({room}{rest}) // {w}")
         return [f"min({', '.join(b)})" if len(b) > 1 else b[0] for b in out]
-
-    def box(self, consts, lo, hi) -> tuple[list[int], list[int]]:
-        """Per-leaf value ranges (lows, highs) when the cross contributions
-        range over the box [lo, hi]."""
-        lows, highs = [], []
-        for const, (_t, wvec, _op, _b) in zip(consts, self.leaves):
-            a = b = const
-            for w, x, y in zip(wvec, lo, hi):
-                if w > 0:
-                    a += w * x
-                    b += w * y
-                elif w < 0:
-                    a += w * y
-                    b += w * x
-            lows.append(a)
-            highs.append(b)
-        return lows, highs
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +393,10 @@ class _Context:
 
     def classes_for_mask(self, mask: int):
         """(profiles, weights, members, poly, per-dim minima, per-dim
-        maxima) for one satisfaction mask, cached.  A profile's weight is
-        the sum of its 2-types' integer cross weights."""
+        maxima, lows, highs) for one satisfaction mask, cached.  A
+        profile's weight is the sum of its 2-types' integer cross weights;
+        lows and highs range over the profiles, first of each leaf's
+        weights times the profile, then of each dimension."""
         hit = self._class_cache.get(mask)
         if hit is not None:
             return hit
@@ -424,13 +414,14 @@ class _Context:
                                             self.order.binary_bit, v)
                             for v in vs) for _, vs in items)
         members = tuple(tuple(vs) for _, vs in items)
-        if profiles:
-            mins = tuple(min(p[d] for p in profiles) for d in range(self.dim))
-            maxs = tuple(max(p[d] for p in profiles) for d in range(self.dim))
-        else:
-            mins = maxs = (0,) * self.dim
+        dots = [[sum(w * x for w, x in zip(wvec, p)) for p in profiles] or [0]
+                for _t, wvec, _op, _b in self.constraints.leaves]
+        dots += [[p[d] for p in profiles] or [0] for d in range(self.dim)]
+        lows, highs = tuple(map(min, dots)), tuple(map(max, dots))
         enc_poly = {self.encode(p): w for p, w in zip(profiles, weights)}
-        out = (profiles, weights, members, enc_poly, mins, maxs)
+        nl = len(self.constraints.leaves)
+        out = (profiles, weights, members, enc_poly, lows[nl:], highs[nl:],
+               lows, highs)
         self._class_cache[mask] = out
         return out
 
@@ -653,11 +644,14 @@ def _group_stream(tables: TypeTables, groups, n: int, counters: Counters,
 def _run_merged(ctx: _Context, groups, kvecs, counters: Counters,
                 collect: dict, progress=None):
     """Add the contributions of the group compositions ``kvecs`` to
-    ``collect``, keyed on the cardinality tuple of the group predicates."""
+    ``collect``, keyed on the cardinality tuple of the group predicates.
+    ``progress(counters)`` is called about once per second of wall time."""
+    beat = monotonic() + 1
     for support, counts in kvecs:
         _run_one_k(ctx, groups, support, counts, counters, collect)
-        if progress is not None and counters.k_vectors % 25000 == 0:
+        if progress is not None and monotonic() >= beat:
             progress(counters)
+            beat = monotonic() + 1
 
 
 def _run_one_k(ctx, groups, support, counts, counters, collect):
@@ -676,27 +670,29 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         counters.pruned += 1
         return
 
-    # (mask, exponent) per pair of blocks, and the box [lo, hi] that the
-    # cross contributions of all pairs together range over
+    # (mask, exponent) per pair of blocks, and the range [lo, hi] of every
+    # leaf, then of every dimension: each pair adds one profile p of its
+    # mask, so a leaf keeps the correlation inside p that the per-dimension
+    # box, which only feeds the caps, loses
     pair_specs = []
-    lo = hi = (0,) * dim
+    lo = hi = consts + (0,) * dim
     for a in range(len(types)):
         for b in range(a, len(types)):
             e = pair_exponent(counts[a], counts[b], a == b)
             if e == 0:
                 continue
             mask = tables.mask(min(types[a], types[b]), max(types[a], types[b]))
-            profiles, _w, _members, _poly, mins, maxs = ctx.classes_for_mask(mask)
+            profiles, _w, _m, _p, _mins, _maxs, lows, highs = \
+                ctx.classes_for_mask(mask)
             if not profiles:
                 counters.pruned += 1
                 return
             pair_specs.append((mask, e))
-            if dim:
-                lo = tuple(x + e * y for x, y in zip(lo, mins))
-                hi = tuple(x + e * y for x, y in zip(hi, maxs))
+            if cons.cell_roots:
+                lo = tuple(x + e * y for x, y in zip(lo, lows))
+                hi = tuple(x + e * y for x, y in zip(hi, highs))
 
-    if cons.cell_roots and not cons.admits(*cons.box(consts, lo, hi),
-                                           (0,) * dim):
+    if cons.cell_roots and not cons.admits(lo, hi, (0,) * dim):
         counters.pruned += 1
         return
 
@@ -742,10 +738,12 @@ def _cells(ctx, pair_specs, consts, lo, hi, counters):
     """The (cross statistic vector, coefficient) pairs of one k-vector that
     the constraints accept.  The fold builds no term beyond the caps that
     the constraints put on each dimension, so the final check only sorts
-    out what the caps cannot see."""
+    out what the caps cannot see.  ``lo``/``hi`` end with the box of the
+    cross contributions, as :func:`_run_one_k` sums it."""
     cons = ctx.constraints
     caps = None
     if cons.cell_roots:
+        lo, hi = lo[len(consts):], hi[len(consts):]
         caps = cons.caps(consts, lo, hi)
         if any(c < x for c, x in zip(caps, lo)):
             return []
