@@ -197,10 +197,10 @@ class _Constraints:
         Each leaf pushes its bound onto each dimension, with the other
         dimensions at their current extremes; an and-node takes the
         smaller of its children's caps, an or-node the larger.  Repeated
-        until nothing tightens: one cap can tighten another, as in the
-        counting encoding, where ``|$f| - |$M| = 0`` caps $M only once
-        ``|$A| + |$B| - |$f| = 0`` has capped $f.  Every cap is sound on
-        its own, so the pass limit only costs tightness.
+        until nothing tightens: one cap can tighten another, as
+        ``|R| - |S| <= 0`` caps R only once ``|S| <= 3`` has capped S.
+        Every cap is sound on its own, so the pass limit only costs
+        tightness.
         """
         cs = "".join(f"c{d}, " for d in range(ndim))
         lines = ["def caps(k, lo, hi):", f"    {cs}= hi",
@@ -313,9 +313,8 @@ class _Context:
             (self.order.binary_pos(p, False), self.order.binary_pos(p, True))
             for p in self.tracked_binary)
         # classes are a function of the satisfaction mask alone, and many
-        # pairs share masks, so both caches key on values not pair indices
+        # pairs share masks, so the class cache keys on masks, not pairs
         self._class_cache: dict[int, tuple] = {}
-        self._profile_cache: dict[int, tuple[int, ...]] = {}
         self._type_cache: dict[int, tuple] = {}
         self._pow_cache: dict[tuple[int, int], dict] = {}
         self._decode_cache: dict[int, tuple[int, ...]] = {}
@@ -343,14 +342,6 @@ class _Context:
                    tuple(bit(t, pos) for _p, pos in self.stat_unary)
                    + tuple(bit(t, pos) for _p, pos, _d in self.stat_binary))
             self._type_cache[t] = hit
-        return hit
-
-    def profile_of_v(self, v: int) -> tuple[int, ...]:
-        hit = self._profile_cache.get(v)
-        if hit is None:
-            hit = tuple(self.order.binary_bit(v, l) + self.order.binary_bit(v, r)
-                        for l, r in self._binary_positions)
-            self._profile_cache[v] = hit
         return hit
 
     def encode(self, svec) -> int:
@@ -400,12 +391,15 @@ class _Context:
         hit = self._class_cache.get(mask)
         if hit is not None:
             return hit
+        bit = self.order.binary_bit
         grouped: dict[tuple[int, ...], list[int]] = {}
         m = mask
         v = 0
         while m:
             if m & 1:
-                grouped.setdefault(self.profile_of_v(v), []).append(v)
+                profile = tuple(bit(v, l) + bit(v, r)
+                                for l, r in self._binary_positions)
+                grouped.setdefault(profile, []).append(v)
             m >>= 1
             v += 1
         items = sorted(grouped.items())

@@ -130,10 +130,10 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
                 i, j = types[a], types[b]
                 profiles, cls_counts, members = pair_classes(ctx, i, j)
                 if per_v:
-                    flat = tuple(v for vs in members for v in vs)
-                    profiles = tuple(ctx.profile_of_v(v) for v in flat)
-                    cls_counts = (1,) * len(flat)
-                    members = tuple((v,) for v in flat)
+                    profiles = tuple(p for p, vs in zip(profiles, members)
+                                     for _v in vs)
+                    members = tuple((v,) for vs in members for v in vs)
+                    cls_counts = (1,) * len(members)
                 pair_specs.append((i, j, e, cls_counts, profiles, members))
 
         for combo in itertools.product(

@@ -310,12 +310,13 @@ def compile_problem(p: Problem) -> CountingProgram:
     predicate with a blocking clause; build one counting block per counted
     relation R; append the user's constraints.  Class j of R's block is
     A_j | B_j, B_j a padding companion (sign -1, B_j -> ~A_j); classes
-    exclude each other.  Disjoint slots f_i inside R, one blocker P_i each
-    (sign -1) and |f_i| = sum over j >= i of |A_j| + |B_j| give a class-j
-    element one successor in each of f_1..f_j; the marker
-    M <-> (some class)(x) & R(x,y), with |M| = sum of |f_i|, leaves it no
-    others.  Divisors (A_j, j) and (B_j, j), j > 1, cancel the j! slot
-    orders, so an element with j successors outside A_j weighs 1 - 1 = 0.
+    exclude each other.  Disjoint slots f_i inside R, leaving only the
+    classes j >= i (f_i -> R & fill_i), one blocker P_i each (sign -1) and
+    |f_i| = sum over j >= i of |A_j| + |B_j| give a class-j element one
+    successor in each of f_1..f_j; (some class)(x) & R(x,y) -> some f_i
+    leaves it no others.  Divisors (A_j, j) and (B_j, j), j > 1, cancel the
+    j! slot orders, so an element with j successors outside A_j weighs
+    1 - 1 = 0.
     """
     names = _FreshNames()
     expanded = expand_counting(p.sentence)
@@ -341,7 +342,6 @@ def compile_problem(p: Problem) -> CountingProgram:
         slots = [Atom(names.make("f", 2, f"successor slot {i} for {rel}",
                                  name=f"$f{k}_{i}"), _XY)
                  for i in range(1, m + 1)]
-        mpred = names.make("M", 2, f"marked successors of {rel}")
         ppreds = [names.make("P", 1, f"blocks missing slot-{i} witness for {rel}",
                              name=f"$P{k}_{i}") for i in range(1, m + 1)]
         classes = [Or(Atom(t.pred, _X), Atom(b, _X))
@@ -350,19 +350,19 @@ def compile_problem(p: Problem) -> CountingProgram:
         fills = [reduce(Or, (c for t, c in zip(group, classes) if t.count >= i))
                  for i in range(1, m + 1)]
         clauses.extend(Implies(f, Not(g)) for f, g in combinations(slots, 2))
-        clauses.extend(Implies(f, r) for f in slots)
+        # the constraints alone already keep f_i off other elements; saying
+        # so in the kernel drops those types, and their k-vectors, early
+        clauses.extend(Implies(f, And(r, fill)) for f, fill in zip(slots, fills))
         clauses.extend(Implies(Atom(b, _X), Not(Atom(t.pred, _X)))
                        for t, b in zip(group, bpreds))
         clauses.extend(Implies(c, Not(d)) for c, d in combinations(classes, 2))
-        clauses.append(Iff(Atom(mpred, _XY), And(fills[0], r)))
+        clauses.append(Implies(And(fills[0], r), reduce(Or, slots)))
         clauses.extend(Implies(Atom(q, _X), Not(Implies(fill, f)))
                        for q, f, fill in zip(ppreds, slots, fills))
         for i, f in enumerate(slots, 1):
             constraints.append(CardComparison(tuple(
                 (1, q) for t, b in zip(group, bpreds) if t.count >= i
                 for q in (t.pred, b)) + ((-1, f.pred),), "=", 0))
-        constraints.append(CardComparison(
-            tuple((1, f.pred) for f in slots) + ((-1, mpred),), "=", 0))
         sign_preds.extend(bpreds + ppreds)
         divisors += [(q, t.count) for t, b in zip(group, bpreds)
                      for q in (t.pred, b) if q == t.pred or t.count > 1]

@@ -76,11 +76,6 @@ CORPUS = [
      "formula: forall x exists[>=3] y R(x,y)\n", (1, 2)),
 ]
 
-# CORPUS entries the oracle suite checks at their listed n only: at n = 4
-# the engine needs 7 s on guarded-eq2 and over a minute on disjunct-le2
-# (70 groups), and n = 3 is covered by test_compile_counting_against_oracle
-LISTED_N_ONLY = {"negated-eq2", "guarded-eq2", "disjunct-le2", "at-least-3"}
-
 
 KERNEL_SIG = Signature(("A", "B"), ("R",))
 KERNEL_ATOMS = [

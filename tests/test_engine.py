@@ -14,8 +14,8 @@ from liftcount.engine import (Counters, compositions, enumerate_kh, evaluate,
                               term_value)
 from liftcount.formula import Forall, Problem, Signature, Top
 
-from conftest import (CORPUS, KERNEL_SIG, LISTED_N_ONLY, RUNNING_EXAMPLE,
-                      compiled, random_kernel, witness_from_cell)
+from conftest import (CORPUS, KERNEL_SIG, RUNNING_EXAMPLE, compiled,
+                      random_kernel, witness_from_cell)
 
 
 def test_multinomial():
@@ -164,7 +164,7 @@ def test_collapse_equivalence(name, text, ns):
 @pytest.mark.parametrize("name,text,ns", CORPUS)
 def test_oracle_equivalence_corpus(name, text, ns):
     problem, program, tables = compiled(text)
-    for n in sorted(set(ns) | (set() if name in LISTED_N_ONLY else {4})):
+    for n in sorted(set(ns) | {4}):
         got = evaluate(program, tables, n, problem.weights)
         want = oracle.oracle_count(problem.with_domain_size(n))
         assert got == want, (name, n)
@@ -266,24 +266,24 @@ def test_bounded_fold_cuts_dead_k_vectors():
 
 
 def test_counting_caps_reach_fixpoint():
-    _p, program, tables = compiled(
-        "domain: 8\nbinary: R\nformula: forall x exists[=1] y R(x,y)\n")
-    assert evaluate(program, tables, 8) == 8 ** 8
-    # with 8 counted elements, |$A1| + |$B1| - |$f1_1| = 0 caps the cross
-    # part of $f1_1 at 8; only a second pass carries that cap through
-    # |$f1_1| - |$M1| = 0 onto $M1, which one pass leaves at n(n - 1)
-    ctx = engine._Context(program, tables, 8)
-    assert ctx.tracked_binary == ("$f1_1", "$M1")
-    stats = dict.fromkeys(ctx.stat_preds, 0)
-    stats["$A1"] = 8
-    consts = ctx.constraints.consts(stats)
-    assert ctx.constraints.caps(consts, (0, 0), (56, 56)) == [8, 8]
+    text = ("domain: 4\nbinary: R, S\nformula: true\n"
+            "constraint: |R| - |S| <= 0\nconstraint: |S| <= 3\n")
+    _p, program, tables = compiled(text)
+    # |R| <= |S| <= 3 over 16 ground atoms each
+    assert evaluate(program, tables, 4) == sum(
+        comb(16, s) * sum(comb(16, r) for r in range(s + 1)) for s in range(4))
+    # |S| <= 3 caps the cross part of S at 3; only a second pass carries
+    # that cap through |R| - |S| <= 0 onto R, which one pass leaves at
+    # n(n - 1) = 12
+    ctx = engine._Context(program, tables, 4)
+    assert ctx.tracked_binary == ("R", "S")
+    consts = ctx.constraints.consts(dict.fromkeys(ctx.stat_preds, 0))
+    assert ctx.constraints.caps(consts, (0, 0), (12, 12)) == [3, 3]
 
 
 def test_leaf_ranges_leave_no_empty_fold(monkeypatch):
     # per-leaf ranges refute every k-vector whose fold would end with no
-    # admitted cell: 64 folds at n = 10, where the per-dimension box let
-    # 936 through
+    # admitted cell: 64 folds at n = 10, none of them empty
     folds = []
     cells = engine._cells
     monkeypatch.setattr(engine, "_cells",
@@ -293,42 +293,43 @@ def test_leaf_ranges_leave_no_empty_fold(monkeypatch):
     counters = Counters()
     assert evaluate(program, tables, 10, counters=counters) == 10 ** 10
     assert len(folds) == 64 and all(folds)
-    assert (counters.k_vectors, counters.pruned, counters.cells) == (1001, 937, 64)
+    assert (counters.k_vectors, counters.pruned, counters.cells) == (66, 2, 64)
 
 
-def test_leaf_range_refutes_what_the_box_admits():
-    # in exists[=2] the slots $f1_1, $f1_2 are disjoint parts of R and $M1
-    # is R out of a counted element, so f1 + f2 - M <= 0 on every profile
-    # of a pair; the per-dimension extremes of the same profiles reach 2
-    _p, program, tables = compiled(
-        "domain: 2\nbinary: R\nformula: forall x exists[=2] y R(x,y)\n")
-    ctx = engine._Context(program, tables, 2)
+def test_leaf_range_refutes_what_the_box_admits(monkeypatch):
+    # R and S split every ordered pair, so each element pair adds exactly
+    # 2 to |R| + |S|, where the per-dimension extremes of the same
+    # profiles reach 0 and 4.  At n = 3 the sum is 9 on every k-vector:
+    # the leaf ranges refute each one before any fold, the box none
+    folds = []
+    monkeypatch.setattr(engine, "_cells", lambda *args: folds.append(args) or [])
+    text = ("domain: 3\nbinary: R, S\n"
+            "formula: forall x forall y (R(x,y) <-> ~S(x,y))\n"
+            "constraint: |R| + |S| <= 8\n")
+    problem, program, tables = compiled(text)
+    counters = Counters()
+    assert evaluate(program, tables, 3, counters=counters) == 0
+    assert oracle.oracle_count(problem) == 0
+    assert folds == []
+    assert (counters.k_vectors, counters.pruned, counters.cells) == (4, 4, 0)
+
+    ctx = engine._Context(program, tables, 3)
     cons = ctx.constraints
-    assert cons.leaves[2][1:] == ((1, 1, -1), "=", 0)
     zero = (0,) * ctx.dim
-    refuted = 0
     for t in tables.alive:
-        # both elements of type t: one pair, which takes one profile
-        mask = tables.mask(t, t)
-        profiles, _w, _m, _poly, mins, maxs, lows, highs = \
-            ctx.classes_for_mask(mask)
-        consts = cons.consts(ctx.stats_from_k((t,), (2,)))
-        if not profiles or not cons.settled(consts, consts, ()):
-            continue
-        box = [[c + sum(w * (x if (w > 0) == high else y)
-                        for w, x, y in zip(leaf[1], maxs, mins))
-                for c, leaf in zip(consts, cons.leaves)]
-               for high in (False, True)]
-        lo = tuple(c + x for c, x in zip(consts + zero, lows))
-        hi = tuple(c + x for c, x in zip(consts + zero, highs))
-        assert all(a <= b <= c <= d
-                   for a, b, c, d in zip(box[0], lo, hi, box[1]))
-        if cons.admits(*box, zero) and not cons.admits(lo, hi, zero):
-            refuted += 1
-            assert hi[2] < 0 <= box[1][2]
-            assert engine._cells(ctx, [(mask, 1)], consts, lo, hi,
-                                 Counters()) == []
-    assert refuted
+        # all three elements of type t: three pairs, each one profile
+        _profiles, _w, _m, _poly, mins, maxs, lows, highs = \
+            ctx.classes_for_mask(tables.mask(t, t))
+        assert (lows[0], highs[0]) == (2, 2)
+        assert (sum(mins), sum(maxs)) == (0, 4)
+        consts = cons.consts(ctx.stats_from_k((t,), (3,)))
+        box = [tuple(c + 3 * sum(leaf[1][d] * ext[d] for d in range(ctx.dim))
+                     for c, leaf in zip(consts, cons.leaves)) + zero
+               for ext in (mins, maxs)]
+        lo = tuple(c + 3 * x for c, x in zip(consts + zero, lows))
+        hi = tuple(c + 3 * x for c, x in zip(consts + zero, highs))
+        assert lo[0] == hi[0] == 9
+        assert cons.admits(*box, zero) and not cons.admits(lo, hi, zero)
 
 
 def test_progress_fires_once_per_second(monkeypatch):

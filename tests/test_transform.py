@@ -124,10 +124,12 @@ def test_compile_counting_block():
     assert program.sign_preds == ("$B1", "$P1_1")
     assert program.divisors == (("$A1", 1),)
     rendered = [lc.formula.format_constraint(c) for c in program.constraints]
-    assert rendered == ["|$A1| + |$B1| - |$f1_1| = 0", "|$f1_1| - |$M1| = 0"]
+    assert rendered == ["|$A1| + |$B1| - |$f1_1| = 0"]
     kernel_parts = [format_formula(c) for c in lc.formula.conjuncts(program.kernel)]
     assert "$A1(x)" in kernel_parts  # the rewritten sentence survives in the kernel
-    assert "($f1_1(x,y) -> R(x,y))" in kernel_parts
+    # the slot leaves only its class, and covers every R edge out of it
+    assert "($f1_1(x,y) -> (R(x,y) & ($A1(x) | $B1(x))))" in kernel_parts
+    assert "((($A1(x) | $B1(x)) & R(x,y)) -> $f1_1(x,y))" in kernel_parts
     assert "($B1(x) -> ~$A1(x))" in kernel_parts
     # end to end this program counts functions
     for n in (1, 2, 3, 4):
@@ -183,6 +185,22 @@ def test_compile_counting_against_oracle(text, ns):
         assert closed_count(text, n) == brute_count(text, n), (text, n)
 
 
+@pytest.mark.parametrize("formula,n,want", [
+    ("forall x exists[=1] y R(x,y)", 24, 24 ** 24),
+    ("forall x exists[=2] y R(x,y)", 6, comb(6, 2) ** 6),
+    ("forall x exists[<=2] y R(x,y)", 5, 16 ** 5),
+    ("forall x exists[<=3] y R(x,y)", 3, 8 ** 3),
+    ("forall x (A(x) -> exists[=2] y R(x,y))", 4, (comb(4, 2) + 2 ** 4) ** 4),
+    ("forall x ~exists[=2] y R(x,y)", 5, (2 ** 5 - comb(5, 2)) ** 5),
+], ids=["eq1-n24", "eq2-n6", "le2-n5", "le3-n3", "guarded-eq2-n4",
+        "negated-eq2-n5"])
+def test_compile_counting_closed_forms(formula, n, want):
+    # domain sizes past the oracle's reach, against the closed forms
+    unary = "unary: A\n" if "A(x)" in formula else ""
+    text = f"domain: {n}\n{unary}binary: R\nformula: {formula}\n"
+    assert closed_count(text, n) == want
+
+
 def test_fresh_names_deterministic():
     text = ("domain: 2\nunary: A\nbinary: R\n"
             "formula: forall x (A(x) | exists y R(x,y)) & forall x exists[=2] y R(x,y)\n")
@@ -193,7 +211,7 @@ def test_fresh_names_deterministic():
 
 def test_counting_block_per_relation():
     # the exact counts an at-most or at-least expands to share one block:
-    # slots, marker, blockers, and one fresh relation for a compound body
+    # slots, blockers, and one fresh relation for a compound body
     def shape(formula, unary=""):
         _problem, program, tables = compiled(
             f"domain: 2\n{unary}binary: R\nformula: {formula}\n")
@@ -201,12 +219,12 @@ def test_counting_block_per_relation():
                 program.signature.binary)
 
     le2 = "forall x exists[<=2] y R(x,y)"
-    assert shape(le2) == (12, 8, 3, ("R", "$f1_1", "$f1_2", "$M1"))
+    assert shape(le2) == (11, 6, 2, ("R", "$f1_1", "$f1_2"))
     assert shape("forall x exists[<=2] y (R(x,y) & B(y))", "unary: B\n") == \
-        (14, 10, 3, ("R", "$R1", "$f1_1", "$f1_2", "$M1"))
-    assert shape("forall x exists[<=3] y R(x,y)")[:2] == (16, 10)
+        (13, 8, 2, ("R", "$R1", "$f1_1", "$f1_2"))
+    assert shape("forall x exists[<=3] y R(x,y)")[:2] == (15, 8)
     ge4 = "forall x exists[>=4] y R(x,y)"
-    assert shape(ge4)[:2] == (16, 10)
+    assert shape(ge4)[:2] == (15, 8)
     assert closed_count(f"domain: 2\nbinary: R\nformula: {le2}\n", 4) == \
         sum(comb(4, j) for j in range(3)) ** 4
     # every element has at most 3 successors, so the signed terms cancel
@@ -219,8 +237,7 @@ _SHAPE_LITERALS = ("R(x,y)", "R(y,x)", "x = y", "A(y)")
 
 def _random_shape(rng):
     """A plain or counting quantifier over a one- or two-literal body, in
-    one of four positions under ``forall x``; also returns the count (0
-    for a plain quantifier)."""
+    one of four positions under ``forall x``."""
     literals = [("~" if rng.random() < 0.3 else "") + rng.choice(_SHAPE_LITERALS)
                 for _ in range(rng.choice((1, 2)))]
     body = rng.choice((" & ", " | ")).join(literals)
@@ -228,16 +245,14 @@ def _random_shape(rng):
     quant = rng.choice(("forall y", "exists y", f"exists[={m}] y",
                         f"exists[<={m}] y", f"exists[>={m}] y"))
     position = rng.choice(("{}", "~ {}", "A(x) -> {}", "A(x) | {}"))
-    return (m if "[" in quant else 0), \
-        "forall x (" + position.format(f"{quant} ({body})") + ")"
+    return "forall x (" + position.format(f"{quant} ({body})") + ")"
 
 
 def test_random_counting_shapes_against_oracle():
-    # a fixed, seeded draw of 170 checks (about 8 s); n stops at 2 for a
-    # count of 3, whose programs take seconds to minutes at n = 3
+    # a fixed, seeded draw of 180 checks (about 11 s)
     rng = random.Random(1)
     for _ in range(60):
-        m, sentence = _random_shape(rng)
+        sentence = _random_shape(rng)
         text = "domain: 1\nunary: A\nbinary: R\nformula: " + sentence + "\n"
-        for n in range(1, 3 if m == 3 else 4):
+        for n in range(1, 4):
             assert closed_count(text, n) == brute_count(text, n), (sentence, n)
