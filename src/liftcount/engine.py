@@ -10,6 +10,12 @@ keeps the whole computation polynomial in the domain size.  Literal
 weights, Skolem signs and count divisors weigh 1-types and 2-types; only
 constraints, table weights and distribution queries are tracked.
 
+With nothing tracked a k-vector is one cell, and its sum is a product of
+integer powers: the exponents of equal bases are collected, and the
+product is built as one power per distinct odd base, shifted by the
+bases' powers of two.  Only tracked statistics need the polynomial fold
+and its cached pair powers (:meth:`_Context.pair_power`).
+
 The constraints bound the work in three places.  The k-vector stream
 cuts every partial composition that already breaks a conjunctive upper
 bound on its k-determined counts (:meth:`_Context.stream_bounds`).  A
@@ -367,8 +373,10 @@ class _Context:
 
     def pair_power(self, mask: int, e: int, caps=None) -> dict:
         """The e-th power of a mask's class polynomial, without the terms
-        beyond ``caps``.  A power the caps do not tighten is kept under its
-        plain ``(mask, e)`` key, so every k-vector shares it."""
+        beyond ``caps``, for the polynomial fold of tracked statistics
+        (untracked cell sums collect exponents instead).  A power the caps
+        do not tighten is kept under its plain ``(mask, e)`` key, so every
+        k-vector shares it."""
         key = (mask, e)
         cap = (0, 0)
         if caps is not None:
@@ -694,13 +702,24 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
     for g, c in zip(support, counts):
         base *= sum(ctx.type_attrs(t)[0] for t in groups[g]) ** c
 
+    shift = 0
     if not dim:
-        # nothing tracked: one cell, whose sum is a product of scalars
+        # nothing tracked: one cell, whose sum is a product of integer
+        # powers.  Each base is 2**s times an odd part that carries its
+        # sign; summing the exponents of equal odd parts makes the product
+        # one power per distinct odd base, shifted left by the sum of s*e
         counters.cells += 1
-        cellsum = 1
+        odds: dict[int, int] = {}
         for mask, e in pair_specs:
-            cellsum *= ctx.pair_power(mask, e)[0]
-        cells = [((), cellsum)]
+            w = ctx.classes_for_mask(mask)[3][0]
+            s = (w & -w).bit_length() - 1 if w else 0
+            odds[w >> s] = odds.get(w >> s, 0) + e
+            shift += s * e
+        cellsum = 1
+        for w, e in odds.items():
+            cellsum *= w ** e
+        if not ctx.scalar_cells:
+            cells = [((), cellsum << shift)]
     elif ctx.scalar_cells:
         # without per-cell weights only the integer sum over cells counts
         key = (tuple(sorted(pair_specs)),
@@ -716,7 +735,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         if cellsum == 0:
             counters.pruned += 1
             return
-        collect[()] = collect.get((), 0) + base * cellsum
+        collect[()] = collect.get((), 0) + ((base * cellsum) << shift)
         return
 
     for svec, coefficient in cells:

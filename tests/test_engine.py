@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -249,6 +250,56 @@ def test_symmetric_weights_track_no_statistic():
     counters = Counters()
     evaluate(program, tables, 12, problem.weights, counters=counters)
     assert counters.cells == counters.k_vectors == 12 + 1
+
+
+SIGNED_SMOKERS = ("domain: 3\nunary: S\nbinary: F\n"
+                  "formula: forall x forall y (S(x) & F(x,y) -> S(y))\n"
+                  "weight: S 2 -1\nweight: F {} {}\n")
+
+
+@pytest.mark.parametrize("c,d", [(-1, 3), (2, -2), (5, -6),
+                                 (Fraction(1, 2), Fraction(3, 2)), (0, 7),
+                                 (-4, 3), (-5, 3), (-3, 6)])
+def test_untracked_bases_of_every_sign_and_parity(c, d):
+    # nothing is tracked, so each cell sum is a product of powers of the
+    # pair bases (c + d)**2 and (c + d) * d, over one denominator: odd,
+    # even, zero and negative (-3, -6) bases all pass through the exponent
+    # collection, and 9 and 18 share their odd part
+    problem, program, tables = compiled(SIGNED_SMOKERS.format(c, d))
+    for n in (1, 2, 3):
+        assert evaluate(program, tables, n, problem.weights) == \
+            oracle.oracle_count(problem.with_domain_size(n)), n
+    # k elements in S: the k(n - k) pairs from S to not-S must drop F
+    n = 30
+    want = sum(comb(n, k) * 2 ** k * (-1) ** (n - k)
+               * Fraction(c + d) ** (n * n - k * (n - k))
+               * Fraction(d) ** (k * (n - k)) for k in range(n + 1))
+    assert evaluate(program, tables, n, problem.weights) == want
+    grouped = engine.evaluate_grouped(program, tables, n, problem.weights,
+                                      ("S",))
+    assert sum(grouped.values()) == want
+    assert evaluate(program, tables, n, problem.weights, threads=2) == want
+
+
+def test_untracked_counters_and_power_cache():
+    _p, program, tables = compiled(RUNNING_EXAMPLE)
+    counters = Counters()
+    ctx = engine._Context(program, tables, 400)
+    engine._evaluate(ctx, 1, counters)
+    assert counters == Counters(k_vectors=401, pruned=0, cells=401)
+    # the untracked cell sums keep no pair powers
+    assert ctx._pow_cache == {}
+    # a zero pair base (c + d = 0) makes the cell sum of every k-vector
+    # with a pair of elements 0: counted as a cell and as pruned.  At
+    # n = 1 the zero sits on the 1-type weight of F(x,x) instead, which
+    # prunes nothing
+    problem, program, tables = compiled(SIGNED_SMOKERS.format(2, -2))
+    for n, want in ((1, Counters(2, 0, 2)), (3, Counters(4, 4, 4)),
+                    (30, Counters(31, 31, 31))):
+        counters = Counters()
+        assert evaluate(program, tables, n, problem.weights,
+                        counters=counters) == 0
+        assert counters == want, n
 
 
 def test_bounded_fold_cuts_dead_k_vectors():
