@@ -10,11 +10,17 @@ keeps the whole computation polynomial in the domain size.  Literal
 weights, Skolem signs and count divisors weigh 1-types and 2-types; only
 constraints, table weights and distribution queries are tracked.
 
-With nothing tracked a k-vector is one cell, and its sum is a product of
-integer powers: the exponents of equal bases are collected, and the
-product is built as one power per distinct odd base, shifted by the
-bases' powers of two.  Only tracked statistics need the polynomial fold
-and its cached pair powers (:meth:`_Context.pair_power`).
+A k-vector's cells are the terms of a product over pairs of 1-type
+blocks, one power of the pair's class polynomial each.  That polynomial
+depends on the pair's satisfaction mask alone, so the exponents of block
+pairs with equal masks are collected first, and the product takes one
+power per distinct mask.  With nothing tracked a k-vector is one cell and
+each polynomial one integer: the product is built as one power per
+distinct odd base, shifted by the bases' powers of two.  Tracked
+statistics fold the polynomials, with one cached, capped power per mask
+(:meth:`_Context.pair_power`).  The caps cut no term the constraints
+accept, since profiles are nonnegative, so the capped power of a summed
+exponent is the capped product of the separate powers.
 
 The constraints bound the work in three places.  The k-vector stream
 cuts every partial composition that already breaks a conjunctive upper
@@ -82,6 +88,18 @@ def pair_exponent(ki: int, kj: int, same: bool) -> int:
 
 @dataclass
 class Counters:
+    """Work counts of one evaluation.
+
+    ``k_vectors`` counts the group compositions that reached the per-k
+    work.  ``pruned`` counts the cuts: partial supports and compositions
+    the stream drops, k-vectors refuted by a settled constraint, an empty
+    satisfaction mask or the leaf ranges, and cell sums of 0.
+    ``cells`` counts the cells the folds built and the constraints
+    accepted; an untracked k-vector is one cell.  A k-vector whose cell
+    sum the cache already holds builds no fold and adds no cell, so
+    ``cells`` can fall while the values stay the same.
+    """
+
     k_vectors: int = 0
     pruned: int = 0
     cells: int = 0
@@ -373,10 +391,10 @@ class _Context:
 
     def pair_power(self, mask: int, e: int, caps=None) -> dict:
         """The e-th power of a mask's class polynomial, without the terms
-        beyond ``caps``, for the polynomial fold of tracked statistics
-        (untracked cell sums collect exponents instead).  A power the caps
-        do not tighten is kept under its plain ``(mask, e)`` key, so every
-        k-vector shares it."""
+        beyond ``caps``, for the polynomial fold of tracked statistics; e is
+        the exponent summed over every pair of blocks with this mask.  A
+        power the caps do not tighten is kept under its plain ``(mask, e)``
+        key, so every k-vector shares it."""
         key = (mask, e)
         cap = (0, 0)
         if caps is not None:
@@ -672,31 +690,33 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         counters.pruned += 1
         return
 
-    # (mask, exponent) per pair of blocks, and the range [lo, hi] of every
-    # leaf, then of every dimension: each pair adds one profile p of its
-    # mask, so a leaf keeps the correlation inside p that the per-dimension
-    # box, which only feeds the caps, loses
-    pair_specs = []
-    lo = hi = consts + (0,) * dim
+    # the summed exponent of every satisfaction mask: pairs of blocks with
+    # equal masks have equal class polynomials, so their powers merge.  A
+    # pair with an empty mask realizes no 2-type and kills the k-vector
+    exps: dict[int, int] = {}
     for a in range(len(types)):
         for b in range(a, len(types)):
             e = pair_exponent(counts[a], counts[b], a == b)
             if e == 0:
                 continue
             mask = tables.mask(min(types[a], types[b]), max(types[a], types[b]))
-            profiles, _w, _m, _p, _mins, _maxs, lows, highs = \
-                ctx.classes_for_mask(mask)
-            if not profiles:
+            if not mask:
                 counters.pruned += 1
                 return
-            pair_specs.append((mask, e))
-            if cons.cell_roots:
-                lo = tuple(x + e * y for x, y in zip(lo, lows))
-                hi = tuple(x + e * y for x, y in zip(hi, highs))
+            exps[mask] = exps.get(mask, 0) + e
 
-    if cons.cell_roots and not cons.admits(lo, hi, (0,) * dim):
-        counters.pruned += 1
-        return
+    # the range [lo, hi] of every leaf, then of every dimension: each pair
+    # adds one profile p of its mask, so a leaf keeps the correlation inside
+    # p that the per-dimension box, which only feeds the caps, loses
+    lo = hi = consts + (0,) * dim
+    if cons.cell_roots:
+        for mask, e in exps.items():
+            lows, highs = ctx.classes_for_mask(mask)[6:]
+            lo = tuple(x + e * y for x, y in zip(lo, lows))
+            hi = tuple(x + e * y for x, y in zip(hi, highs))
+        if not cons.admits(lo, hi, (0,) * dim):
+            counters.pruned += 1
+            return
 
     base = multinomial(n, counts)
     for g, c in zip(support, counts):
@@ -710,7 +730,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         # one power per distinct odd base, shifted left by the sum of s*e
         counters.cells += 1
         odds: dict[int, int] = {}
-        for mask, e in pair_specs:
+        for mask, e in exps.items():
             w = ctx.classes_for_mask(mask)[3][0]
             s = (w & -w).bit_length() - 1 if w else 0
             odds[w >> s] = odds.get(w >> s, 0) + e
@@ -722,14 +742,14 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
             cells = [((), cellsum << shift)]
     elif ctx.scalar_cells:
         # without per-cell weights only the integer sum over cells counts
-        key = (tuple(sorted(pair_specs)),
+        key = (tuple(sorted(exps.items())),
                tuple(consts[i] for i in cons.cell_leaves))
         cellsum = ctx._cellsum_cache.get(key)
         if cellsum is None:
             cellsum = ctx._cellsum_cache[key] = sum(
-                c for _s, c in _cells(ctx, pair_specs, consts, lo, hi, counters))
+                c for _s, c in _cells(ctx, exps, consts, lo, hi, counters))
     else:
-        cells = _cells(ctx, pair_specs, consts, lo, hi, counters)
+        cells = _cells(ctx, exps, consts, lo, hi, counters)
 
     if ctx.scalar_cells:
         if cellsum == 0:
@@ -747,12 +767,14 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         collect[key] = collect.get(key, 0) + term
 
 
-def _cells(ctx, pair_specs, consts, lo, hi, counters):
+def _cells(ctx, exps, consts, lo, hi, counters):
     """The (cross statistic vector, coefficient) pairs of one k-vector that
-    the constraints accept.  The fold builds no term beyond the caps that
-    the constraints put on each dimension, so the final check only sorts
-    out what the caps cannot see.  ``lo``/``hi`` end with the box of the
-    cross contributions, as :func:`_run_one_k` sums it."""
+    the constraints accept, from the summed exponent of each satisfaction
+    mask in ``exps``: one capped power per mask.  The fold builds no term
+    beyond the caps that the constraints put on each dimension, so the
+    final check only sorts out what the caps cannot see.  ``lo``/``hi`` end
+    with the box of the cross contributions, as :func:`_run_one_k` sums
+    it."""
     cons = ctx.constraints
     caps = None
     if cons.cell_roots:
@@ -761,7 +783,7 @@ def _cells(ctx, pair_specs, consts, lo, hi, counters):
         if any(c < x for c, x in zip(caps, lo)):
             return []
     cap = (0, 0) if caps is None else ctx.cap_test(caps)
-    powers = sorted((ctx.pair_power(mask, e, caps) for mask, e in pair_specs),
+    powers = sorted((ctx.pair_power(mask, e, caps) for mask, e in exps.items()),
                     key=len)
     poly = {0: 1}
     for power in powers:

@@ -316,6 +316,61 @@ def test_bounded_fold_cuts_dead_k_vectors():
     assert counters.k_vectors <= 1000
 
 
+def test_pair_powers_are_collected_per_mask(monkeypatch):
+    # block pairs with equal satisfaction masks share one class polynomial,
+    # so each fold takes one capped power per mask, of the summed exponent
+    folds = []
+    cells, pair_power = engine._cells, engine._Context.pair_power
+    monkeypatch.setattr(engine, "_cells",
+                        lambda *args: folds.append([]) or cells(*args))
+    monkeypatch.setattr(engine._Context, "pair_power",
+                        lambda self, mask, e, caps=None:
+                        folds[-1].append(mask) or pair_power(self, mask, e, caps))
+    _p, program, tables = compiled(RUNNING_EXAMPLE + "constraint: |R| <= 5\n")
+    n = 30
+    counters = Counters()
+    assert evaluate(program, tables, n, counters=counters) == sum(
+        comb(n, k) * sum(comb(k * k + (n - k) * n, j) for j in range(6))
+        for k in range(n + 1))
+    assert folds and all(len(set(f)) == len(f) for f in folds)
+    assert any(len(f) > 1 for f in folds)
+    # the leaf ranges are the same sums over masks as over block pairs, so
+    # the same k-vectors are pruned.  ``cells`` counts the admitted cells
+    # of the 96 folds built: a k-vector whose collected (mask, exponent)
+    # pairs and leaf constants an earlier fold had reads the cell-sum
+    # cache and adds none
+    assert counters == Counters(k_vectors=581, pruned=183, cells=336)
+    assert len(folds) == 96
+    for text, n, want in (
+            ("binary: R\nformula: forall x exists[=2] y R(x,y)\n", 5,
+             Counters(k_vectors=792, pruned=132, cells=448)),
+            ("binary: R\nformula: forall x exists[<=2] y R(x,y)\n", 4,
+             Counters(k_vectors=2380, pruned=884, cells=765))):
+        _p, program, tables = compiled(f"domain: {n}\n" + text)
+        counters = Counters()
+        evaluate(program, tables, n, counters=counters)
+        assert counters == want, text
+
+
+def test_tracked_fold_with_literal_pair_weights():
+    # literal weights on R ride on the class polynomials of a tracked
+    # fold, whose masks are shared by several block pairs; with |A| = k
+    # the friends sentence leaves k*k + (n - k)*n of the n*n R atoms free
+    text = (RUNNING_EXAMPLE + "weight: A 1/2 3\nweight: R 2 -3\n"
+            "constraint: |R| <= 4\n")
+    problem, program, tables = compiled(text)
+    for n in (1, 2, 3):
+        assert evaluate(program, tables, n, problem.weights) == \
+            oracle.oracle_count(problem.with_domain_size(n)), n
+    n = 12
+    want = sum(comb(n, k) * Fraction(1, 2) ** k * 3 ** (n - k)
+               * sum(comb(k * k + (n - k) * n, j) * 2 ** j * (-3) ** (n * n - j)
+                     for j in range(5))
+               for k in range(n + 1))
+    assert evaluate(program, tables, n, problem.weights) == want
+    assert evaluate(program, tables, n, problem.weights, threads=2) == want
+
+
 def test_counting_caps_reach_fixpoint():
     text = ("domain: 4\nbinary: R, S\nformula: true\n"
             "constraint: |R| - |S| <= 0\nconstraint: |S| <= 3\n")
