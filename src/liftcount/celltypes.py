@@ -23,7 +23,10 @@ from .formula import (And, Atom, Bottom, CountExists, Eq, Exists, Forall,
 
 
 class CapacityError(RuntimeError):
-    """Table would exceed the configured 1-type/2-type limits."""
+    """Table would exceed the 1-type/2-type atom limits."""
+
+
+MAX_U = MAX_B = 20  # atom limits: the tables are exponential in u and b
 
 
 @dataclass(frozen=True)
@@ -247,20 +250,19 @@ class TypeTables:
         return out
 
 
-def build_tables(kernel: Formula, sig: Signature, max_u: int = 20,
-                 max_b: int = 20) -> TypeTables:
+def build_tables(kernel: Formula, sig: Signature) -> TypeTables:
     """Construct the full n_ijv / n_ij tables for a pure-universal kernel.
 
-    Work is O(4^u * 2^b) bit operations after diagonal pruning; the u/b
-    caps fail fast because the table is inherently exponential in the
-    signature size.
+    Work is O(4^u * 2^b) bit operations after diagonal pruning; the
+    ``MAX_U``/``MAX_B`` caps fail fast because the table is inherently
+    exponential in the signature size.
     """
     order = AtomOrder.from_signature(sig)
     u, b = order.u, order.b
-    if u > max_u:
-        raise CapacityError(f"{u} one-variable atoms exceed the limit {max_u}")
-    if b > max_b:
-        raise CapacityError(f"{b} two-variable atoms exceed the limit {max_b}")
+    if u > MAX_U:
+        raise CapacityError(f"{u} one-variable atoms exceed the limit {MAX_U}")
+    if b > MAX_B:
+        raise CapacityError(f"{b} two-variable atoms exceed the limit {MAX_B}")
 
     diag_src = "lambda i: " + _codegen(kernel, {"x": "x", "y": "x"}, order, False)
     diag = eval(diag_src, {})  # noqa: S307 - generated from our own AST

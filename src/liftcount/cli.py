@@ -77,7 +77,11 @@ def _load(path: str) -> tuple[Problem, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()[:16]
-    return parse_problem(data.decode("utf-8")), digest
+    try:
+        return parse_problem(data.decode("utf-8")), digest
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                         data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _compiled(problem: Problem):

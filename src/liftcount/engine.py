@@ -36,7 +36,8 @@ constraint can accept, so none changes a result.
 Everything is exact: counts are arbitrary-precision integers, weighted
 results are fractions, and no enumeration order can change the total.
 The explicit cell-by-cell enumerations that cross-check this evaluator
-live in :mod:`liftcount.reference`.
+live in :mod:`liftcount.reference`, which derives its own statistics and
+2-type classes; this module does not import it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from time import monotonic
-from typing import Iterator, Optional
+from typing import Optional
 
 from .celltypes import TypeTables
 from .formula import CardAnd, CardComparison, CardNot, CardOr, constraint_preds
@@ -64,20 +65,6 @@ def multinomial(n: int, parts) -> int:
         out *= comb(remaining, p)
         remaining -= p
     return out
-
-
-def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``bins`` nonnegative integers summing to ``total``."""
-    if bins == 0:
-        if total == 0:
-            yield ()
-        return
-    if bins == 1:
-        yield (total,)
-        return
-    for value in range(total + 1):
-        for rest in compositions(total - value, bins - 1):
-            yield (value,) + rest
 
 
 def pair_exponent(ki: int, kj: int, same: bool) -> int:
@@ -397,51 +384,43 @@ class _Context:
         key, so every k-vector shares it."""
         key = (mask, e)
         cap = (0, 0)
+        poly, _lows, highs = self.classes_for_mask(mask)
         if caps is not None:
-            full = tuple(e * x for x in self.classes_for_mask(mask)[5])
+            full = tuple(e * x for x in highs[len(highs) - self.dim:])
             clamped = tuple(map(min, caps, full))
             if clamped != full:
                 key, cap = (mask, e, clamped), self.cap_test(clamped)
         hit = self._pow_cache.get(key)
         if hit is None:
-            hit = _poly_pow(self.classes_for_mask(mask)[3], e, cap)
+            hit = _poly_pow(poly, e, cap)
             self._pow_cache[key] = hit
         return hit
 
     def classes_for_mask(self, mask: int):
-        """(profiles, weights, members, poly, per-dim minima, per-dim
-        maxima, lows, highs) for one satisfaction mask, cached.  A
-        profile's weight is the sum of its 2-types' integer cross weights;
-        lows and highs range over the profiles, first of each leaf's
-        weights times the profile, then of each dimension."""
+        """(poly, lows, highs) for one satisfaction mask, cached.  ``poly``
+        maps each encoded profile (per tracked dimension, how many of R(x,y),
+        R(y,x) a 2-type sets) to the summed integer cross weight of the
+        mask's 2-types with that profile.  lows and highs range over the
+        profiles, first of each leaf's weights times the profile, then of
+        each dimension, so the last ``dim`` of highs are the maxima."""
         hit = self._class_cache.get(mask)
         if hit is not None:
             return hit
         bit = self.order.binary_bit
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        m = mask
-        v = 0
-        while m:
-            if m & 1:
+        poly: dict[int, int] = {}
+        profiles = set()
+        for v in range(mask.bit_length()):
+            if mask >> v & 1:
                 profile = tuple(bit(v, l) + bit(v, r)
                                 for l, r in self._binary_positions)
-                grouped.setdefault(profile, []).append(v)
-            m >>= 1
-            v += 1
-        items = sorted(grouped.items())
-        profiles = tuple(p for p, _ in items)
-        weights = tuple(sum(_literal_weight(self._pair_literals,
-                                            self.order.binary_bit, v)
-                            for v in vs) for _, vs in items)
-        members = tuple(tuple(vs) for _, vs in items)
+                profiles.add(profile)
+                key = self.encode(profile)
+                poly[key] = poly.get(key, 0) + _literal_weight(
+                    self._pair_literals, bit, v)
         dots = [[sum(w * x for w, x in zip(wvec, p)) for p in profiles] or [0]
                 for _t, wvec, _op, _b in self.constraints.leaves]
         dots += [[p[d] for p in profiles] or [0] for d in range(self.dim)]
-        lows, highs = tuple(map(min, dots)), tuple(map(max, dots))
-        enc_poly = {self.encode(p): w for p, w in zip(profiles, weights)}
-        nl = len(self.constraints.leaves)
-        out = (profiles, weights, members, enc_poly, lows[nl:], highs[nl:],
-               lows, highs)
+        out = (poly, tuple(map(min, dots)), tuple(map(max, dots)))
         self._class_cache[mask] = out
         return out
 
@@ -711,7 +690,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
     lo = hi = consts + (0,) * dim
     if cons.cell_roots:
         for mask, e in exps.items():
-            lows, highs = ctx.classes_for_mask(mask)[6:]
+            _poly, lows, highs = ctx.classes_for_mask(mask)
             lo = tuple(x + e * y for x, y in zip(lo, lows))
             hi = tuple(x + e * y for x, y in zip(hi, highs))
         if not cons.admits(lo, hi, (0,) * dim):
@@ -731,7 +710,7 @@ def _run_one_k(ctx, groups, support, counts, counters, collect):
         counters.cells += 1
         odds: dict[int, int] = {}
         for mask, e in exps.items():
-            w = ctx.classes_for_mask(mask)[3][0]
+            w = ctx.classes_for_mask(mask)[0][0]
             s = (w & -w).bit_length() - 1 if w else 0
             odds[w >> s] = odds.get(w >> s, 0) + e
             shift += s * e
@@ -872,7 +851,3 @@ def _evaluate_parallel(ctx, groups, all_ks, threads, counters, collect):
             for key, val in part_collect.items():
                 collect[key] = collect.get(key, 0) + val
 
-
-# the explicit enumerations live in reference.py; they stay reachable here
-from .reference import (Cell, PairTerm, enumerate_kh,  # noqa: E402,F401
-                        pair_classes, stream_value, term_value)

@@ -262,9 +262,29 @@ def _stat_pred_list(problem: Problem, extra=()):
     return tuple(dict.fromkeys(preds))
 
 
+def _map_chunks(worker, problem: Problem, limit: int, chunk_atoms: int,
+                threads: int, *extra) -> list:
+    """``worker((problem, atom_index, total, chunk_atoms, bases, *extra))``
+    over contiguous chunks of 2**chunk_atoms interpretations, one result per
+    call; with ``threads`` > 1 the chunks go strided to worker processes."""
+    atoms = _checked_atoms(problem, limit)
+    total = len(atoms)
+    atom_index = {atom: pos for pos, atom in enumerate(atoms)}
+    chunk_atoms = min(total, chunk_atoms)
+    bases = range(1 << (total - chunk_atoms))
+    if threads <= 1 or len(bases) == 1:
+        return [worker((problem, atom_index, total, chunk_atoms, bases) + extra)]
+    jobs = [(problem, atom_index, total, chunk_atoms, bases[i::threads]) + extra
+            for i in range(threads) if bases[i::threads]]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, jobs))
+
+
 def _stats_chunk(args):
-    problem, atom_index, preds, pred_positions, total, chunk_atoms, bases = args
+    problem, atom_index, total, chunk_atoms, bases, preds = args
     n = problem.domain_size
+    pred_positions = {p: [pos for atom, pos in atom_index.items()
+                          if atom.pred == p] for p in preds}
     out: dict[tuple[int, ...], int] = {}
     for chunk_base in bases:
         be = _ByteBackend(total, chunk_atoms, chunk_base)
@@ -291,29 +311,13 @@ def _enumerate_stats(problem: Problem, limit: int, extra_preds=(),
                      threads: int = 1) -> dict[tuple[int, ...], int]:
     """Model counts per cardinality tuple of the tracked predicates, over
     every interpretation satisfying the sentence (constraints and weights
-    are applied by the callers, exactly).  The interpretation space is
-    processed in contiguous chunks, optionally across worker processes."""
-    atoms = _checked_atoms(problem, limit)
-    total = len(atoms)
-    atom_index = {atom: pos for pos, atom in enumerate(atoms)}
+    are applied by the callers, exactly)."""
     preds = _stat_pred_list(problem, extra_preds)
-    pred_positions = {
-        p: [pos for atom, pos in atom_index.items() if atom.pred == p]
-        for p in preds}
-
-    chunk_atoms = min(total, chunk_atoms)
-    bases = range(1 << (total - chunk_atoms))
-    if threads <= 1 or len(bases) == 1:
-        return _stats_chunk((problem, atom_index, preds, pred_positions,
-                             total, chunk_atoms, bases))
-    blocks = [bases[i::threads] for i in range(threads)]
-    jobs = [(problem, atom_index, preds, pred_positions, total, chunk_atoms,
-             block) for block in blocks if block]
     out: dict[tuple[int, ...], int] = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_stats_chunk, jobs):
-            for key, cnt in part.items():
-                out[key] = out.get(key, 0) + cnt
+    for part in _map_chunks(_stats_chunk, problem, limit, chunk_atoms,
+                            threads, preds):
+        for key, cnt in part.items():
+            out[key] = out.get(key, 0) + cnt
     return out
 
 
@@ -329,18 +333,7 @@ def _mask_chunk(args):
 
 def _count_models(problem: Problem, limit: int, chunk_atoms: int = 22,
                   threads: int = 1) -> int:
-    atoms = _checked_atoms(problem, limit)
-    total = len(atoms)
-    atom_index = {atom: pos for pos, atom in enumerate(atoms)}
-    chunk_atoms = min(total, chunk_atoms)
-    bases = range(1 << (total - chunk_atoms))
-    if threads <= 1 or len(bases) == 1:
-        return _mask_chunk((problem, atom_index, total, chunk_atoms, bases))
-    blocks = [bases[i::threads] for i in range(threads)]
-    jobs = [(problem, atom_index, total, chunk_atoms, block)
-            for block in blocks if block]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(_mask_chunk, jobs))
+    return sum(_map_chunks(_mask_chunk, problem, limit, chunk_atoms, threads))
 
 
 def oracle_count(problem: Problem, limit: int = DEFAULT_ATOM_LIMIT,

@@ -8,19 +8,20 @@ with ``per_v``, over the single 2-types).  It tracks the weighted, sign
 and divisor predicates that the engine folds into type weights as
 statistics, and applies the paper's factors for them per cell.  It is
 exponentially slower and exists so the tests can compare the two exactly.
+Its statistics and 2-type classes come from the satisfaction tables, not
+from the engine's caches, so a fault there cannot repeat on this side.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import Iterator, Optional
 
 from .celltypes import TypeTables
-from .engine import (Counters, _Context, _k_stream, compositions, multinomial,
-                     pair_exponent)
+from .engine import Counters, _k_stream, multinomial, pair_exponent
 from .formula import constraint_holds, constraint_preds
 from .transform import CountingProgram
 
@@ -59,6 +60,17 @@ class Cell:
         return tuple(dense)
 
 
+def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``bins`` nonnegative integers summing to ``total``."""
+    if bins <= 1:
+        if bins or total == 0:
+            yield (total,) * bins
+        return
+    for value in range(total + 1):
+        for rest in compositions(total - value, bins - 1):
+            yield (value,) + rest
+
+
 def term_value(cell: Cell, n: int) -> int:
     """Unsigned, unweighted value of one cell: the multinomial for the
     k-vector times, per pair, the composition multinomial and the class
@@ -72,11 +84,21 @@ def term_value(cell: Cell, n: int) -> int:
     return out
 
 
-def pair_classes(ctx: _Context, i: int, j: int):
-    """Satisfying 2-types of the pair (i <= j), grouped by their
-    contribution profile: (profiles, counts, members).  The class weights
-    of a context without literal weights are the class sizes."""
-    return ctx.classes_for_mask(ctx.tables.mask(i, j))[:3]
+def pair_classes(tables: TypeTables, binary, i: int, j: int):
+    """Satisfying 2-types of the pair (i <= j), grouped by their profile:
+    per predicate of ``binary``, how many of R(x,y) and R(y,x) the 2-type
+    sets.  Returns (profiles, class sizes, members), sorted by profile."""
+    order = tables.order
+    bit = order.binary_bit
+    positions = [(order.binary_pos(p, False), order.binary_pos(p, True))
+                 for p in binary]
+    grouped: dict[tuple[int, ...], list[int]] = {}
+    for v in tables.satisfying_vtypes(i, j):
+        profile = tuple(bit(v, l) + bit(v, r) for l, r in positions)
+        grouped.setdefault(profile, []).append(v)
+    items = sorted(grouped.items())
+    return (tuple(p for p, _vs in items), tuple(len(vs) for _p, vs in items),
+            tuple(tuple(vs) for _p, vs in items))
 
 
 def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
@@ -92,15 +114,18 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
     so ``sum(sign * w(stats) * term_value(cell, n) / divisor)`` is the
     program value.
     """
-    # no literal weights reach the context; their predicates are tracked
-    tracked = (tuple(weight.referenced_preds()) if weight is not None else ()) \
-        + program.sign_preds + tuple(p for p, _m in program.divisors)
-    ctx = _Context(replace(program, sign_preds=(), divisors=()), tables, n,
-                   None, tracked)
+    # every predicate the constraints, the weight, the signs or the
+    # divisors read is a statistic; a binary one also counts cross atoms,
+    # and its k-determined part is its diagonal R(x,x)
+    sig, order = program.signature, tables.order
+    preds = tuple(dict.fromkeys(
+        [p for c in program.constraints for p in constraint_preds(c)]
+        + list(weight.referenced_preds() if weight is not None else ())
+        + list(program.sign_preds) + [p for p, _m in program.divisors]))
+    binary = tuple(p for p in preds if sig.arity(p) == 2)
+    positions = [order.unary_pos(p, p in binary) for p in preds]
     counters = counters if counters is not None else Counters()
     alive = tables.alive
-    u = ctx.order.u
-    sig = program.signature
     unary_constraints = [
         c for c in program.constraints
         if all(sig.arity(p) == 1 for p in constraint_preds(c))]
@@ -114,7 +139,9 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
     for support, counts in _k_stream(alive, n, pair_ok, self_ok, counters):
         counters.k_vectors += 1
         types = tuple(alive[p] for p in support)
-        base_stats = ctx.stats_from_k(types, counts)
+        base_stats = {p: sum(order.unary_bit(t, pos) * c
+                             for t, c in zip(types, counts))
+                      for p, pos in zip(preds, positions)}
         if not all(constraint_holds(c, base_stats) for c in unary_constraints):
             counters.pruned += 1
             continue
@@ -128,7 +155,7 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
                 if e == 0:
                     continue
                 i, j = types[a], types[b]
-                profiles, cls_counts, members = pair_classes(ctx, i, j)
+                profiles, cls_counts, members = pair_classes(tables, binary, i, j)
                 if per_v:
                     profiles = tuple(p for p, vs in zip(profiles, members)
                                      for _v in vs)
@@ -138,19 +165,18 @@ def enumerate_kh(program: CountingProgram, tables: TypeTables, n: int,
 
         for combo in itertools.product(
                 *[compositions(e, len(cc)) for _i, _j, e, cc, _p, _m in pair_specs]):
-            svec = [0] * ctx.dim
+            stats = dict(base_stats)
             pairs = []
             for (i, j, e, cc, profiles, members), h in zip(pair_specs, combo):
                 for prof, share in zip(profiles, h):
-                    for d in range(ctx.dim):
-                        svec[d] += prof[d] * share
+                    for p, x in zip(binary, prof):
+                        stats[p] += x * share
                 pairs.append(PairTerm(i, j, e, cc, profiles, members, h))
-            stats = ctx.add_cross(base_stats, svec)
             if not all(constraint_holds(c, stats) for c in program.constraints):
                 counters.pruned += 1
                 continue
             counters.cells += 1
-            yield Cell(types, counts, u, tuple(pairs), stats, sign, divisor)
+            yield Cell(types, counts, order.u, tuple(pairs), stats, sign, divisor)
 
 
 def stream_value(program: CountingProgram, tables: TypeTables, n: int,

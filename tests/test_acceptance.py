@@ -37,10 +37,10 @@ def test_criterion_01_satisfaction_table_fixture():
 
 def test_criterion_02_term_fixture():
     _p, program, tables = compiled(RUNNING_EXAMPLE)
-    cells = [c for c in engine.enumerate_kh(program, tables, 3)
+    cells = [c for c in reference.enumerate_kh(program, tables, 3)
              if c.k_dense() == (2, 0, 0, 1)]
     assert len(cells) == 1
-    assert engine.term_value(cells[0], 3) == 48
+    assert reference.term_value(cells[0], 3) == 48
     report(2, "collapsed term for k=(2,0,0,1) at n=3 equals 48")
 
 

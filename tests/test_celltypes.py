@@ -84,7 +84,11 @@ def test_diagonal_pruning():
 
 def test_capacity_error():
     sig = Signature(tuple(f"U{i}" for i in range(25)), ())
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="one-variable"):
+        build_tables(Top(), sig)
+    # 11 binary predicates: u = 11 passes, b = 22 does not
+    sig = Signature((), tuple(f"R{i}" for i in range(11)))
+    with pytest.raises(CapacityError, match="two-variable"):
         build_tables(Top(), sig)
 
 

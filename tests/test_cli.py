@@ -117,6 +117,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "third variable" in err
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.wmc"
+    bad.write_bytes(b"domain: 2\nunary: A\nformula: true # \xff\n")
+    code, out, err = run(capsys, "count", str(bad))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and "0xff" in err and "line 3" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "count", "/no/such/file.wmc")
     assert code == cli.EXIT_PARSE

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 
 import liftcount as lc
 from liftcount import engine, oracle, reference, transform
-from liftcount.engine import (Counters, compositions, enumerate_kh, evaluate,
-                              fomc_universal, multinomial, pair_exponent,
-                              term_value)
+from liftcount.engine import (Counters, evaluate, fomc_universal, multinomial,
+                              pair_exponent)
+from liftcount.reference import compositions, enumerate_kh, term_value
 from liftcount.formula import Forall, Problem, Signature, Top
 
 from conftest import (CORPUS, KERNEL_SIG, RUNNING_EXAMPLE, compiled,
@@ -31,6 +32,30 @@ def test_compositions_count():
     assert len(list(compositions(4, 3))) == comb(6, 2)
     assert list(compositions(0, 0)) == [()]
     assert sum(1 for _ in compositions(5, 1)) == 1
+
+
+def test_reference_path_stands_apart_from_the_engine():
+    # the cross-check is independent only while the reference computes its
+    # own statistics and 2-type classes: from the engine it borrows the
+    # k-vector stream and arithmetic helpers, never the evaluation context
+    def tree(module):
+        with open(module.__file__, encoding="utf-8") as fh:
+            return ast.parse(fh.read())
+
+    def imported(module):
+        return {((node.module or "").rpartition(".")[2], alias.name)
+                for node in ast.walk(tree(module))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    assert not any(mod == "reference" or name == "reference"
+                   for mod, name in imported(engine))
+    assert {name for mod, name in imported(reference) if mod == "engine"} == \
+        {"Counters", "_k_stream", "multinomial", "pair_exponent"}
+    names = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(tree(reference))}
+    assert "_Context" not in names
+    for name in ("enumerate_kh", "compositions", "term_value"):
+        assert not hasattr(engine, name), name
 
 
 def test_pair_exponent():
@@ -422,10 +447,11 @@ def test_leaf_range_refutes_what_the_box_admits(monkeypatch):
     ctx = engine._Context(program, tables, 3)
     cons = ctx.constraints
     zero = (0,) * ctx.dim
+    nl = len(cons.leaves)
     for t in tables.alive:
         # all three elements of type t: three pairs, each one profile
-        _profiles, _w, _m, _poly, mins, maxs, lows, highs = \
-            ctx.classes_for_mask(tables.mask(t, t))
+        _poly, lows, highs = ctx.classes_for_mask(tables.mask(t, t))
+        mins, maxs = lows[nl:], highs[nl:]
         assert (lows[0], highs[0]) == (2, 2)
         assert (sum(mins), sum(maxs)) == (0, 4)
         consts = cons.consts(ctx.stats_from_k((t,), (3,)))
